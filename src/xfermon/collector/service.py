@@ -124,7 +124,8 @@ class CollectorService:
         for sock in (self._ingest_sock, self._query_sock):
             if sock is not None:
                 sock.close()
-        self._drain_queue_to_store()
+        while self._drain_queue_to_store():
+            pass
         self.store.flush(sync=True)
         self.store.close()
 
@@ -227,16 +228,18 @@ class CollectorService:
             time.sleep(self.writer_delay_s)
         self.store.append_many(batch)
         self.store.flush()
-        self._persisted_total += len(batch)
-        self._rate_window.append((time.monotonic(), len(batch)))
+        with self._queue_lock:
+            self._persisted_total += len(batch)
+            self._rate_window.append((time.monotonic(), len(batch)))
         return True
 
     # ------------------------------------------------------------------
     def stats(self) -> IngestStats:
         now = time.monotonic()
-        recent = [n for ts, n in self._rate_window if now - ts <= 1.0]
         with self._queue_lock:
             depth = len(self._write_queue)
+            window = list(self._rate_window)
+        recent = [n for ts, n in window if now - ts <= 1.0]
         return IngestStats(
             msgs_per_s=float(sum(recent)),
             queue_depth=depth,

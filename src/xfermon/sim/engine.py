@@ -1,11 +1,13 @@
 """Deterministic fluid-flow simulator of two clusters joined by a WAN.
 
-Each simulated second, every active transfer's throughput is the minimum of
-its read path, network path, and write path after anomaly effects, with
-contended resources split max-min fair between transfers and competitor
-loads. All layer counters (OST, client, NICs, TCP) are derived from the same
-per-second rates, so conservation and capacity invariants hold by
-construction.
+Each simulated second, every active transfer demands the minimum of its
+read path, network path, and write path after anomaly effects. Contended
+resources (per-OST disks, the Lustre NIC on each side, the WAN) are shared
+between transfers, competitor loads and congestion flows by exact max-min
+fair allocation (progressive filling), which is work-conserving: a flow is
+held below its demand only by a saturated resource. All layer counters (OST,
+client, NICs, TCP) are derived from the same per-second rates, so
+conservation and capacity invariants hold by construction.
 
 Runs are value objects; an Engine holds the mutable per-run state (bytes
 remaining per transfer) and must be stepped sequentially from t = 0.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Hashable, Mapping
 from dataclasses import dataclass, field, replace
 
 from ..metrics.catalog import MINIMAL_NAMES
@@ -146,21 +149,70 @@ def _tick_rng(seed: int, t: int) -> random.Random:
     return random.Random(((seed & 0xFFFFFFFF) * 1_000_003 + t) & 0xFFFFFFFFFFFF)
 
 
-def _waterfill(capacity: float, demands: dict[str, float]) -> dict[str, float]:
-    """Max-min fair allocation of capacity across demand-capped flows."""
-    alloc = {fid: 0.0 for fid in demands}
-    pending = sorted(demands.items(), key=lambda kv: kv[1])
-    remaining = capacity
-    left = len(pending)
-    for fid, demand in pending:
-        if left <= 0 or remaining <= 0:
+def max_min_rates(
+    capacity: Mapping[Hashable, float],
+    flows: list[tuple[Hashable, float, tuple[Hashable, ...]]],
+) -> dict[Hashable, float]:
+    """Exact max-min fair rates by progressive filling.
+
+    ``capacity`` maps each resource key to its capacity; each flow is
+    ``(flow_id, demand, resource_keys)``. All unfrozen flows rise together,
+    and each step freezes flows at the lower of two levels: the smallest
+    ``residual / unfrozen users`` over all resources, which freezes every
+    flow on the resources it saturates, or the smallest unfrozen demand,
+    which freezes every flow whose demand it reaches. The allocation is
+    work-conserving: every flow is at its demand or crosses a saturated
+    resource on which no flow gets more (Bertsekas & Gallager, *Data
+    Networks*, section 6.5.2).
+    """
+    # Flows with the same demand and resources get the same rate, so each
+    # such group is filled as one unit.
+    groups: dict[tuple[float, tuple[Hashable, ...]], list[Hashable]] = {}
+    for fid, demand, keys in flows:
+        groups.setdefault((demand, keys), []).append(fid)
+    members = list(groups.values())
+    demands = [demand for demand, _ in groups]
+    resources = [keys for _, keys in groups]
+    users: dict[Hashable, list[int]] = {}
+    unfrozen: dict[Hashable, int] = {}
+    for g, keys in enumerate(resources):
+        for key in keys:
+            users.setdefault(key, []).append(g)
+            unfrozen[key] = unfrozen.get(key, 0) + len(members[g])
+    residual = {key: capacity[key] for key in users}
+    rates: list[float | None] = [None] * len(groups)
+    by_demand = sorted(range(len(groups)), key=demands.__getitem__)
+    low = 0  # position in by_demand of the smallest unfrozen demand
+    while True:
+        while low < len(by_demand) and rates[by_demand[low]] is not None:
+            low += 1
+        if low == len(by_demand):
             break
-        share = remaining / left
-        take = min(demand, share)
-        alloc[fid] = take
-        remaining -= take
-        left -= 1
-    return alloc
+        shares = {key: residual[key] / n for key, n in unfrozen.items()}
+        level = max(0.0, min(shares.values(), default=math.inf))
+        if demands[by_demand[low]] <= level:
+            frozen = []
+            for g in by_demand[low:]:
+                if demands[g] > level:
+                    break
+                if rates[g] is None:
+                    frozen.append((g, demands[g]))
+        else:
+            saturated = [key for key, share in shares.items() if share <= level]
+            frozen = [
+                (g, level)
+                for g in dict.fromkeys(g for key in saturated for g in users[key])
+                if rates[g] is None
+            ]
+        for g, rate in frozen:
+            rates[g] = rate
+            for key in resources[g]:
+                # One flow at a time, so residuals round as in a per-flow fill.
+                for _ in members[g]:
+                    residual[key] -= rate
+                unfrozen[key] -= len(members[g])
+        unfrozen = {key: n for key, n in unfrozen.items() if n}
+    return {fid: rate for fids, rate in zip(members, rates) for fid in fids}
 
 
 class Engine:
@@ -274,95 +326,55 @@ class Engine:
         if eff["reorder_p"] > 0.0:
             stall_factor *= reorder_rate_factor(eff["reorder_p"])
 
-        # Per-transfer ceiling independent of shared-resource contention.
-        def ceiling(job: TransferJob) -> float:
-            cap = min(
-                tb.per_ost_disk_read_bytes_per_s,
-                tb.per_ost_disk_write_bytes_per_s,
-                tb.lnet_nic_bytes_per_s,
-                tb.wan_bandwidth_bytes_per_s,
-                buffer_limited_rate(conn_buf, rtt_for_rate),
+        # Per-transfer ceiling independent of shared-resource contention;
+        # every transfer sees the same path, so it is the same for all.
+        demand = min(
+            tb.per_ost_disk_read_bytes_per_s,
+            tb.per_ost_disk_write_bytes_per_s,
+            tb.lnet_nic_bytes_per_s,
+            tb.wan_bandwidth_bytes_per_s,
+            buffer_limited_rate(conn_buf, rtt_for_rate),
+        )
+        if eff["loss_p"] > 0.0:
+            demand = min(
+                demand,
+                mathis_rate(tb.mss_bytes, rtt_for_rate, eff["loss_p"], streams=tb.parallel_streams),
             )
-            if eff["loss_p"] > 0.0:
-                cap = min(
-                    cap,
-                    mathis_rate(
-                        tb.mss_bytes, rtt_for_rate, eff["loss_p"], streams=tb.parallel_streams
-                    ),
-                )
-            return cap * stall_factor
+        demand *= stall_factor
 
         # Shared resources: per-OST disk channels, per-side Lustre NICs, WAN.
-        resources: dict[str, tuple[float, dict[str, float]]] = {}
-
-        def resource(key: str, capacity: float) -> dict[str, float]:
-            if key not in resources:
-                resources[key] = (capacity, {})
-            return resources[key][1]
-
-        job_resources: dict[str, list[str]] = {}
-        demands = {j.transfer_id: ceiling(j) for j in active}
-        for j in active:
-            keys = [
-                f"sender_ost:{j.source_ost_index}",
-                "sender_lnet:0",
-                "wan:0",
-                "receiver_lnet:0",
-                f"receiver_ost:{j.dest_ost_index}",
-            ]
-            job_resources[j.transfer_id] = keys
-            resource(keys[0], tb.per_ost_disk_read_bytes_per_s)
-            resource(keys[1], tb.lnet_nic_bytes_per_s)
-            resource(keys[2], tb.wan_bandwidth_bytes_per_s)
-            resource(keys[3], tb.lnet_nic_bytes_per_s)
-            resource(keys[4], tb.per_ost_disk_write_bytes_per_s)
-
-        comp_demands: dict[str, float] = {}
-        comp_resource: dict[str, str] = {}
-        cap_by_kind = {
+        # A transfer crosses five of them; a competitor or congestion flow one.
+        capacity_of = {
             "sender_ost": tb.per_ost_disk_read_bytes_per_s,
             "receiver_ost": tb.per_ost_disk_write_bytes_per_s,
             "sender_lnet": tb.lnet_nic_bytes_per_s,
             "receiver_lnet": tb.lnet_nic_bytes_per_s,
             "wan": tb.wan_bandwidth_bytes_per_s,
         }
-        for i, (kind, index, demand) in enumerate(eff["competitors"]):
-            key = f"{kind}:{index}"
-            cid = f"comp{i}"
-            resource(key, cap_by_kind[kind])
-            comp_demands[cid] = demand
-            comp_resource[cid] = key
-        for i in range(eff["congestion_flows"]):
-            cid = f"wanflow{i}"
-            resource("wan:0", tb.wan_bandwidth_bytes_per_s)
-            comp_demands[cid] = tb.wan_bandwidth_bytes_per_s
-            comp_resource[cid] = "wan:0"
-
-        # Iterate water-filling until transfer rates stabilize: a transfer's
-        # demand on each resource is its current end-to-end estimate.
-        rates = dict(demands)
-        comp_fill = {cid: 0.0 for cid in comp_demands}
-        for _ in range(4):
-            new_rates = dict(rates)
-            for key, (capacity, users) in resources.items():
-                users.clear()
-                for tid, keys in job_resources.items():
-                    if key in keys:
-                        users[tid] = rates[tid]
-                for cid, ckey in comp_resource.items():
-                    if ckey == key:
-                        users[cid] = comp_demands[cid]
-                alloc = _waterfill(capacity, users)
-                for tid in job_resources:
-                    if tid in alloc:
-                        new_rates[tid] = min(new_rates[tid], alloc[tid])
-                for cid in comp_resource:
-                    if cid in alloc and comp_resource[cid] == key:
-                        comp_fill[cid] = alloc[cid]
-            if all(abs(new_rates[tid] - rates[tid]) < 1e-6 for tid in rates):
-                rates = new_rates
-                break
-            rates = new_rates
+        congestion = [("wan", 0, tb.wan_bandwidth_bytes_per_s)] * eff["congestion_flows"]
+        competitors = eff["competitors"] + congestion
+        flows = [
+            (
+                j.transfer_id,
+                demand,
+                (
+                    ("sender_ost", j.source_ost_index),
+                    ("sender_lnet", 0),
+                    ("wan", 0),
+                    ("receiver_lnet", 0),
+                    ("receiver_ost", j.dest_ost_index),
+                ),
+            )
+            for j in active
+        ]
+        # Competitor ids are tuples, so they cannot collide with transfer ids.
+        flows += [
+            (("competitor", i), load, ((kind, index),))
+            for i, (kind, index, load) in enumerate(competitors)
+        ]
+        used = {key for _, _, keys in flows for key in keys}
+        capacity = {key: capacity_of[key[0]] for key in used}
+        rates = max_min_rates(capacity, flows)
 
         # Per-second efficiency jitter, one-sided so capacity holds; a
         # transfer's final second drains exactly the bytes it has left.
@@ -372,15 +384,21 @@ class Engine:
             final_rates[j.transfer_id] = min(
                 rates[j.transfer_id] * eta, self._remaining[j.transfer_id]
             )
-        for cid in comp_fill:
+        comp_fill = []
+        for i, (kind, index, _) in enumerate(competitors):
             eta = max(RATE_NOISE_FLOOR, 1.0 - abs(rng.gauss(0.0, RATE_NOISE_SIGMA)))
-            comp_fill[cid] *= eta
+            comp_fill.append((kind, index, rates[("competitor", i)] * eta))
 
-        snapshot = self._build_snapshot(t, rng, eff, active, final_rates, comp_fill, comp_resource, {
-            "rtt_eff": rtt_eff,
+        conn = {
+            "rtt_eff_us": rtt_eff,
+            "jitter_std_us": eff["jitter_std_us"],
+            "duplicate_p": eff["duplicate_p"],
             "send_buf": send_buf,
             "recv_buf": recv_buf,
-        })
+            "parallel_streams": tb.parallel_streams,
+            "unimpaired_rate": tb.unimpaired_rate,
+        }
+        snapshot = self._build_snapshot(t, rng, eff["loss_p"], active, final_rates, comp_fill, conn)
 
         for tid, rate in final_rates.items():
             self._remaining[tid] = max(0.0, self._remaining[tid] - rate)
@@ -393,69 +411,64 @@ class Engine:
         self,
         t: int,
         rng: random.Random,
-        eff: dict,
+        loss_p: float,
         active: list[TransferJob],
         rates: dict[str, float],
-        comp_fill: dict[str, float],
-        comp_resource: dict[str, str],
+        comp_fill: list[tuple[str, int, float]],
         conn: dict,
     ) -> Snapshot:
+        """Counters for one second. Full-profile-only TCP and per-process
+        values are not built here: ``assemble_values`` derives them from the
+        rate, the per-side samples in ``tcp`` and the constants in ``conn``."""
         tb = self.tb
 
-        comp_on = {"sender_ost": {}, "receiver_ost": {}, "sender_lnet": 0.0, "receiver_lnet": 0.0}
-        for cid, fill in comp_fill.items():
-            key = comp_resource[cid]
-            kind, idx = key.split(":")
-            if kind in ("sender_ost", "receiver_ost"):
-                comp_on[kind][int(idx)] = comp_on[kind].get(int(idx), 0.0) + fill
-            elif kind in ("sender_lnet", "receiver_lnet"):
-                comp_on[kind] += fill
+        ost_read = dict.fromkeys(range(tb.oss_count_per_side), 0.0)
+        ost_write = dict.fromkeys(range(tb.oss_count_per_side), 0.0)
+        lnet_comp = {"sender_lnet": 0.0, "receiver_lnet": 0.0}
+        ost_by_kind = {"sender_ost": ost_read, "receiver_ost": ost_write}
+        for kind, index, fill in comp_fill:
+            if kind in lnet_comp:
+                lnet_comp[kind] += fill
+            elif kind in ost_by_kind and index in ost_by_kind[kind]:
+                ost_by_kind[kind][index] += fill
 
         total_rate = sum(rates.values())
-        ost_read = {i: comp_on["sender_ost"].get(i, 0.0) for i in range(tb.oss_count_per_side)}
-        ost_write = {i: comp_on["receiver_ost"].get(i, 0.0) for i in range(tb.oss_count_per_side)}
+        transfers = {}
         for j in active:
+            rate = rates[j.transfer_id]
             if j.source_ost_index < tb.oss_count_per_side:
-                ost_read[j.source_ost_index] += rates[j.transfer_id]
+                ost_read[j.source_ost_index] += rate
             if j.dest_ost_index < tb.oss_count_per_side:
-                ost_write[j.dest_ost_index] += rates[j.transfer_id]
-
-        lnet_rx_total = total_rate + comp_on["sender_lnet"]  # sender DTN pulls from Lustre
-        lnet_tx_total = total_rate + comp_on["receiver_lnet"]  # receiver DTN pushes to Lustre
-
-        rtt_eff = conn["rtt_eff"]
-        jitter_std = eff["jitter_std_us"]
-        loss_p = eff["loss_p"]
-        dup_p = eff["duplicate_p"]
-
-        def tcp_counters(rate: float) -> dict[str, float]:
-            rtt_sample = rtt_eff * (1.0 + max(-0.015, min(0.015, rng.gauss(0.0, 0.005))))
-            if jitter_std > 0.0:
-                rtt_sample = max(1.0, rtt_sample + rng.gauss(0.0, jitter_std))
-            data_pkts = rate / tb.mss_bytes
-            if loss_p > 0.0 and data_pkts > 0:
-                retx_mean = data_pkts * loss_p / (1.0 - loss_p)
-                retx = max(0.0, retx_mean + rng.gauss(0.0, math.sqrt(max(retx_mean, 1.0))))
-            else:
-                retx = 0.0
-            total_sent = (data_pkts + retx) * (1.0 + dup_p)
-            cwnd = min(conn["send_buf"], rate * rtt_eff / 1e6) if rate > 0 else 0.0
-            return {
-                "rtt_us": rtt_sample,
-                "retransmitted": retx,
-                "total_sent": total_sent,
-                "send_buf_max": conn["send_buf"],
-                "recv_buf_max": conn["recv_buf"],
-                "cwnd_bytes": cwnd,
-                "ssthresh_bytes": cwnd * 0.75,
-                "rto_us": max(200_000.0, 2.0 * rtt_sample),
-                "rtt_var_us": 0.05 * rtt_eff + jitter_std,
-                "send_queue_bytes": 0.02 * conn["send_buf"],
-                "recv_queue_bytes": 0.01 * conn["recv_buf"],
-                "delivered_packets": data_pkts,
-                "lost_packets": retx,
-                "sacked_packets": min(3.0 * retx, data_pkts),
+                ost_write[j.dest_ost_index] += rate
+            transfers[j.transfer_id] = {
+                "rate": rate,
+                "source_ost_index": j.source_ost_index,
+                "dest_ost_index": j.dest_ost_index,
             }
+        active_ids = sorted(transfers)
+        files_per_s = sum(rates[j.transfer_id] / j.file_size_bytes for j in active)
+
+        lnet_rx_total = total_rate + lnet_comp["sender_lnet"]  # sender DTN pulls from Lustre
+        lnet_tx_total = total_rate + lnet_comp["receiver_lnet"]  # receiver DTN pushes to Lustre
+
+        rtt_eff = conn["rtt_eff_us"]
+        jitter_std = conn["jitter_std_us"]
+
+        def tcp_samples() -> dict[str, tuple[float, float]]:
+            """(rtt_us, retransmitted) per transfer, drawn in transfer order."""
+            samples = {}
+            for j in active:
+                rtt_sample = rtt_eff * (1.0 + max(-0.015, min(0.015, rng.gauss(0.0, 0.005))))
+                if jitter_std > 0.0:
+                    rtt_sample = max(1.0, rtt_sample + rng.gauss(0.0, jitter_std))
+                data_pkts = rates[j.transfer_id] / tb.mss_bytes
+                if loss_p > 0.0 and data_pkts > 0:
+                    retx_mean = data_pkts * loss_p / (1.0 - loss_p)
+                    retx = max(0.0, retx_mean + rng.gauss(0.0, math.sqrt(max(retx_mean, 1.0))))
+                else:
+                    retx = 0.0
+                samples[j.transfer_id] = (rtt_sample, retx)
+            return samples
 
         def host_counters(side: str) -> dict:
             nic_in = lnet_rx_total if side == "sender" else total_rate
@@ -496,27 +509,6 @@ class Engine:
                 "mem_free_bytes": 122.0 * (1 << 30),
                 "load_avg_1m": 0.5 + 0.05 * len(active),
             }
-            tcp = {}
-            proc = {}
-            transfers = {}
-            for j in active:
-                rate = rates[j.transfer_id]
-                tcp[j.transfer_id] = tcp_counters(rate)
-                proc[j.transfer_id] = {
-                    "cpu_pct": min(100.0, 0.5 + 8.0 * rate / max(tb.unimpaired_rate, 1.0)),
-                    "mem_rss_bytes": 20.0 * (1 << 20),
-                    "read_bps": rate if side == "sender" else 0.0,
-                    "write_bps": 0.0 if side == "sender" else rate,
-                    "open_sockets": float(tb.parallel_streams),
-                }
-                transfers[j.transfer_id] = {
-                    "rate": rate,
-                    "source_ost_index": j.source_ost_index,
-                    "dest_ost_index": j.dest_ost_index,
-                }
-            files_per_s = sum(
-                rates[j.transfer_id] / j.file_size_bytes for j in active
-            )
             mdc = {
                 "open_per_s": files_per_s,
                 "close_per_s": files_per_s,
@@ -541,12 +533,12 @@ class Engine:
                 "side": side,
                 "t": t,
                 "mss_bytes": tb.mss_bytes,
-                "active_transfers": sorted(transfers),
+                "active_transfers": active_ids,
                 "transfers": transfers,
+                "conn": conn,
                 "nic": nic,
                 "dtn": dtn,
-                "tcp": tcp,
-                "proc": proc,
+                "tcp": tcp_samples(),
                 "mdc": mdc,
                 "osc": osc,
             }
@@ -591,10 +583,6 @@ class Engine:
             yield self.step(t)
 
 
-def step(engine: Engine, t: int) -> Snapshot:
-    return engine.step(t)
-
-
 # ----------------------------------------------------------------------
 # envelope value assembly, shared by the agent and the dataset writer
 # ----------------------------------------------------------------------
@@ -614,34 +602,37 @@ def assemble_values(
     simulator-direct row.
     """
     sj = sender_host["transfers"][transfer_id]
-    stcp = sender_host["tcp"][transfer_id]
-    rtcp = receiver_host["tcp"][transfer_id]
+    s_rtt, s_retx = sender_host["tcp"][transfer_id]
     src_ost = sender_oss["ost"][sj["source_ost_index"]]
     dst_ost = receiver_oss["ost"][sj["dest_ost_index"]]
     rate = sj["rate"]
+    conn = sender_host["conn"]
+    mss = sender_host["mss_bytes"]
 
     values: dict[str, float] = {
         "sender_ost_read_bytes_per_s": src_ost["read_bps"],
         "sender_client_read_bytes_per_s": rate,
         "sender_lnet_nic_rx_bytes_per_s": sender_host["nic"]["lnet_rx"],
         "sender_wan_nic_tx_bytes_per_s": sender_host["nic"]["wan_tx"],
-        "sender_tcp_send_buf_max_bytes": stcp["send_buf_max"],
-        "sender_retransmitted_packets": stcp["retransmitted"],
-        "sender_total_sent_packets": stcp["total_sent"],
-        "sender_rtt_us": stcp["rtt_us"],
+        "sender_tcp_send_buf_max_bytes": conn["send_buf"],
+        "sender_retransmitted_packets": s_retx,
+        "sender_total_sent_packets": (rate / mss + s_retx) * (1.0 + conn["duplicate_p"]),
+        "sender_rtt_us": s_rtt,
         "receiver_ost_write_bytes_per_s": dst_ost["write_bps"],
         "receiver_client_write_bytes_per_s": rate,
         "receiver_lnet_nic_tx_bytes_per_s": receiver_host["nic"]["lnet_tx"],
         "receiver_wan_nic_rx_bytes_per_s": receiver_host["nic"]["wan_rx"],
-        "receiver_tcp_recv_buf_max_bytes": rtcp["recv_buf_max"],
+        "receiver_tcp_recv_buf_max_bytes": conn["recv_buf"],
         "transfer_throughput_bytes_per_s": rate,
     }
     if len(profile_names) == len(values):
         return values
 
-    for side, host, oss, tcp in (
-        ("sender", sender_host, sender_oss, stcp),
-        ("receiver", receiver_host, receiver_oss, rtcp),
+    data_pkts = rate / mss
+    cwnd = min(conn["send_buf"], rate * conn["rtt_eff_us"] / 1e6) if rate > 0 else 0.0
+    for side, host, oss in (
+        ("sender", sender_host, sender_oss),
+        ("receiver", receiver_host, receiver_oss),
     ):
         for i, ost in oss["ost"].items():
             values[f"{side}_ost{i}_read_bytes_per_s"] = ost["read_bps"]
@@ -674,7 +665,6 @@ def assemble_values(
         values[f"{side}_mem_free_bytes"] = dtn["mem_free_bytes"]
         values[f"{side}_load_avg_1m"] = dtn["load_avg_1m"]
         nic = host["nic"]
-        mss = host["mss_bytes"]
         other_lnet = "tx" if side == "sender" else "rx"
         other_wan = "rx" if side == "sender" else "tx"
         values[f"{side}_lnet_nic_{other_lnet}_bytes_per_s"] = nic[f"lnet_{other_lnet}"]
@@ -686,21 +676,23 @@ def assemble_values(
             values[f"{side}_wan_nic_{d}_packets_per_s"] = nic[f"wan_{d}"] / mss
             values[f"{side}_wan_nic_{d}_dropped_per_s"] = 0.0
             values[f"{side}_wan_nic_{d}_errors_per_s"] = 0.0
-        values[f"{side}_tcp_cwnd_bytes"] = tcp["cwnd_bytes"]
-        values[f"{side}_tcp_ssthresh_bytes"] = tcp["ssthresh_bytes"]
-        values[f"{side}_tcp_rto_us"] = tcp["rto_us"]
-        values[f"{side}_tcp_rtt_var_us"] = tcp["rtt_var_us"]
-        values[f"{side}_tcp_send_queue_bytes"] = tcp["send_queue_bytes"]
-        values[f"{side}_tcp_recv_queue_bytes"] = tcp["recv_queue_bytes"]
-        values[f"{side}_tcp_delivered_packets"] = tcp["delivered_packets"]
-        values[f"{side}_tcp_lost_packets"] = tcp["lost_packets"]
-        values[f"{side}_tcp_sacked_packets"] = tcp["sacked_packets"]
-        proc = host["proc"][transfer_id]
-        values[f"{side}_proc_cpu_pct"] = proc["cpu_pct"]
-        values[f"{side}_proc_mem_rss_bytes"] = proc["mem_rss_bytes"]
-        values[f"{side}_proc_read_bytes_per_s"] = proc["read_bps"]
-        values[f"{side}_proc_write_bytes_per_s"] = proc["write_bps"]
-        values[f"{side}_proc_open_sockets"] = proc["open_sockets"]
+        rtt, retx = host["tcp"][transfer_id]
+        values[f"{side}_tcp_cwnd_bytes"] = cwnd
+        values[f"{side}_tcp_ssthresh_bytes"] = cwnd * 0.75
+        values[f"{side}_tcp_rto_us"] = max(200_000.0, 2.0 * rtt)
+        values[f"{side}_tcp_rtt_var_us"] = 0.05 * conn["rtt_eff_us"] + conn["jitter_std_us"]
+        values[f"{side}_tcp_send_queue_bytes"] = 0.02 * conn["send_buf"]
+        values[f"{side}_tcp_recv_queue_bytes"] = 0.01 * conn["recv_buf"]
+        values[f"{side}_tcp_delivered_packets"] = data_pkts
+        values[f"{side}_tcp_lost_packets"] = retx
+        values[f"{side}_tcp_sacked_packets"] = min(3.0 * retx, data_pkts)
+        values[f"{side}_proc_cpu_pct"] = min(
+            100.0, 0.5 + 8.0 * rate / max(conn["unimpaired_rate"], 1.0)
+        )
+        values[f"{side}_proc_mem_rss_bytes"] = 20.0 * (1 << 20)
+        values[f"{side}_proc_read_bytes_per_s"] = rate if side == "sender" else 0.0
+        values[f"{side}_proc_write_bytes_per_s"] = 0.0 if side == "sender" else rate
+        values[f"{side}_proc_open_sockets"] = float(conn["parallel_streams"])
     return values
 
 

@@ -1,6 +1,8 @@
 """Collector: framing, ingest semantics, queries, persistence safety."""
 import json
 import socket
+import sys
+import threading
 import time
 
 import pytest
@@ -130,6 +132,44 @@ def test_queue_grows_gracefully_above_capacity(collector):
     assert wait_for(lambda: collector.stats().persisted_total == 3000, timeout_s=20)
     assert depth_during > 500  # it queued instead of crashing or dropping
     assert collector.stats().queue_depth == 0
+
+
+def test_stats_is_safe_while_the_writer_persists(tmp_path):
+    # The writer's steps run on a feeder thread, one record per batch, so the
+    # rate window changes thousands of times while stats() reads it.
+    service = CollectorService(CollectorConfig(data_dir=tmp_path / "race-data"))
+    payloads = [encode_envelope(make_envelope(transfer_id="race", t=t)) for t in range(3000)]
+
+    def persist_one_by_one():
+        for payload in payloads:
+            service._ingest_payloads([payload])
+            service._drain_queue_to_store()
+
+    writer = threading.Thread(target=persist_one_by_one)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        writer.start()
+        while writer.is_alive():
+            service.stats()  # must not raise while the writer appends
+    finally:
+        sys.setswitchinterval(switch)
+        writer.join(timeout=30)
+        service.stop()
+    assert not writer.is_alive()
+    assert service.stats().persisted_total == 3000
+
+
+def test_stop_persists_the_whole_write_queue(tmp_path):
+    d = tmp_path / "stop-data"
+    service = CollectorService(CollectorConfig(data_dir=d))
+    service._ingest_payloads(
+        [encode_envelope(make_envelope(transfer_id="stop", t=t)) for t in range(3000)]
+    )
+    service.stop()
+    store = SegmentStore(d)
+    assert store.record_count == 3000
+    store.close()
 
 
 # ----------------------------------------------------------------------

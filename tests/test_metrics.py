@@ -1,4 +1,5 @@
 """Catalog and envelope contract tests."""
+import os
 import random
 import subprocess
 import sys
@@ -75,9 +76,11 @@ def test_catalog_order_stable_across_processes():
         "from xfermon.metrics import FULL_NAMES; "
         "import hashlib; print(hashlib.sha256('|'.join(FULL_NAMES).encode()).hexdigest())"
     )
+    # The child imports the same xfermon as this process, installed or not.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     digests = {
         subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
         ).stdout.strip()
         for _ in range(2)
     }

@@ -14,7 +14,8 @@ from xfermon.metrics import (
     decode_envelope,
     encode_envelope,
 )
-from xfermon.sim import AnomalyClass, Engine, build_run, get_testbed, run_rows
+from xfermon.sim import AnomalyClass, Engine, build_run, builtin_testbeds, get_testbed, run_rows
+from xfermon.sim.engine import max_min_rates
 
 from tests.test_sim import assert_conservation_and_capacity, random_run
 
@@ -56,6 +57,70 @@ def test_conservation_and_capacity_over_1000_random_runs():
     rng = random.Random(777)
     for _ in range(1000):
         assert_conservation_and_capacity(random_run(rng))
+
+
+@st.composite
+def allocation_problems(draw):
+    """Engine-shaped inputs: transfers cross five resources, competitor loads
+    and congestion flows one each."""
+    tb = draw(st.sampled_from(list(builtin_testbeds().values())))
+    capacity_of = {
+        "sender_ost": tb.per_ost_disk_read_bytes_per_s,
+        "receiver_ost": tb.per_ost_disk_write_bytes_per_s,
+        "sender_lnet": tb.lnet_nic_bytes_per_s,
+        "receiver_lnet": tb.lnet_nic_bytes_per_s,
+        "wan": tb.wan_bandwidth_bytes_per_s,
+    }
+    ost = st.integers(min_value=0, max_value=tb.oss_count_per_side - 1)
+    demands = st.floats(min_value=0.0, max_value=1.2 * tb.unimpaired_rate)
+    common = draw(demands)
+    flows = [
+        (
+            f"t{i}",
+            draw(st.one_of(st.just(common), demands)),
+            (
+                ("sender_ost", draw(ost)),
+                ("sender_lnet", 0),
+                ("wan", 0),
+                ("receiver_lnet", 0),
+                ("receiver_ost", draw(ost)),
+            ),
+        )
+        for i in range(draw(st.integers(min_value=1, max_value=12)))
+    ]
+    for i in range(draw(st.integers(min_value=0, max_value=6))):
+        kind = draw(st.sampled_from(sorted(capacity_of)))
+        index = draw(ost) if kind.endswith("_ost") else 0
+        load = draw(st.floats(min_value=0.0, max_value=capacity_of[kind]))
+        flows.append((("competitor", i), load, ((kind, index),)))
+    for i in range(draw(st.integers(min_value=0, max_value=4))):
+        flows.append((("congestion", i), capacity_of["wan"], (("wan", 0),)))
+    capacity = {key: capacity_of[key[0]] for _, _, keys in flows for key in keys}
+    return capacity, flows
+
+
+@settings(max_examples=300, deadline=None)
+@given(allocation_problems())
+def test_allocation_is_max_min_fair_and_work_conserving(problem):
+    capacity, flows = problem
+    rates = max_min_rates(capacity, flows)
+    load = dict.fromkeys(capacity, 0.0)
+    users = {key: [] for key in capacity}
+    for fid, _, keys in flows:
+        for key in keys:
+            load[key] += rates[fid]
+            users[key].append(rates[fid])
+    for key, cap in capacity.items():
+        assert load[key] <= cap * (1 + 1e-9), key
+    for fid, demand, keys in flows:
+        rate = rates[fid]
+        assert 0.0 <= rate <= demand
+        if rate == demand:
+            continue
+        assert any(
+            load[key] >= capacity[key] * (1 - 1e-9) and max(users[key]) <= rate * (1 + 1e-9)
+            for key in keys
+        ), fid
 
 
 def test_simulation_determinism_across_engines():

@@ -4,6 +4,7 @@ import statistics
 
 import pytest
 
+from xfermon.metrics import FULL_NAMES
 from xfermon.sim import (
     DROP_BAND,
     LABEL_CLASSES,
@@ -13,6 +14,7 @@ from xfermon.sim import (
     Engine,
     SimRun,
     TransferJob,
+    assemble_values,
     buffer_limited_rate,
     build_run,
     builtin_testbeds,
@@ -290,6 +292,54 @@ def test_conservation_and_capacity_sampled_runs():
     rng = random.Random(2024)
     for _ in range(60):
         assert_conservation_and_capacity(random_run(rng))
+
+
+def test_freed_bandwidth_goes_to_the_lone_transfer():
+    # Five transfers share OST 2 on both sides, so each gets a fifth of it and
+    # they leave half of each Lustre NIC free; the lone OST 1 -> 0 transfer is
+    # held only by its own OSTs and the NIC remainder, both 425 MB/s.
+    tb = get_testbed("tb3")
+    def job(tid, src, dst):
+        return TransferJob(
+            tid, file_count=64, file_size_bytes=1 << 34, source_ost_index=src, dest_ost_index=dst
+        )
+
+    jobs = tuple(job(f"crowd{i}", 2, 2) for i in range(5)) + (job("lone", 1, 0),)
+    fair = tb.per_ost_disk_read_bytes_per_s
+    for snap in Engine(simple_run(tb, jobs=jobs, duration=5)).run_all():
+        assert snap.transfer_rates["lone"] >= 0.96 * fair * (1 - 1e-9)
+        for i in range(5):
+            assert snap.transfer_rates[f"crowd{i}"] <= fair / 5 * (1 + 1e-9)
+
+
+def test_full_profile_counters_keep_their_relations():
+    # The full-profile TCP and per-process values are derived from the rate
+    # and the per-side samples; these identities held when they were built
+    # eagerly per transfer and must keep holding.
+    rng = random.Random(4242)
+    checked = 0
+    for _ in range(25):
+        run = random_run(rng)
+        tb = run.testbed
+        for snap in Engine(run).run_all():
+            layers = (
+                snap.hosts[tb.host_id("sender")],
+                snap.hosts[tb.host_id("receiver")],
+                snap.osses[tb.oss_id("sender")],
+                snap.osses[tb.oss_id("receiver")],
+            )
+            for tid in layers[0]["active_transfers"]:
+                v = assemble_values(FULL_NAMES, tid, *layers)
+                assert v["sender_tcp_lost_packets"] == v["sender_retransmitted_packets"]
+                assert v["sender_tcp_rto_us"] == max(200_000.0, 2.0 * v["sender_rtt_us"])
+                for side in ("sender", "receiver"):
+                    assert v[f"{side}_tcp_ssthresh_bytes"] == 0.75 * v[f"{side}_tcp_cwnd_bytes"]
+                    assert v[f"{side}_tcp_sacked_packets"] == min(
+                        3.0 * v[f"{side}_tcp_lost_packets"], v[f"{side}_tcp_delivered_packets"]
+                    )
+                    assert v[f"{side}_proc_open_sockets"] == tb.parallel_streams
+                checked += 1
+    assert checked > 100
 
 
 # ----------------------------------------------------------------------
