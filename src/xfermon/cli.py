@@ -32,7 +32,7 @@ from .agent import (
     SocketTransport,
     SimulationRuntime,
 )
-from .collector import CollectorConfig, CollectorService, SegmentStore
+from .collector import CollectorConfig, CollectorService, SegmentStore, dataset_rows
 from .diagnose import (
     RuleConfig,
     centroid_fit,
@@ -520,25 +520,10 @@ def cmd_export(args) -> int:
 
     store = SegmentStore(data_dir)
     out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    n = 0
-    with out.open("w", encoding="utf-8") as fh:
-        for rec in store.iter_records():
-            fh.write(
-                json.dumps(
-                    {
-                        "testbed_id": rec.testbed_id,
-                        "transfer_id": rec.transfer_id,
-                        "t": rec.t,
-                        "label": labels.get(rec.transfer_id, "normal"),
-                        "metrics": rec.metrics,
-                    },
-                    sort_keys=True,
-                )
-            )
-            fh.write("\n")
-            n += 1
-    store.close()
+    try:
+        n = write_ndjson(dataset_rows(store, labels=labels), out)
+    finally:
+        store.close()
     write_manifest(
         out,
         "export",

@@ -1,6 +1,6 @@
 """Ingest service: framing, persistence, and the query front."""
 from .framing import HEADER_BYTES, MAX_FRAME_BYTES, FrameDecoder, FrameError, encode_frame
-from .service import CollectorConfig, CollectorService, IngestStats
+from .service import CollectorConfig, CollectorService, IngestStats, dataset_rows
 from .storage import Record, SegmentStore
 
 __all__ = [
@@ -12,6 +12,7 @@ __all__ = [
     "CollectorConfig",
     "CollectorService",
     "IngestStats",
+    "dataset_rows",
     "Record",
     "SegmentStore",
 ]

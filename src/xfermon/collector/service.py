@@ -13,20 +13,24 @@ A second listener speaks a line-oriented query protocol:
 from __future__ import annotations
 
 import json
+import math
 import socket
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
+
+import orjson
 
 from ..metrics.envelope import EnvelopeDecodeError, decode_envelope
+from ..sim.dataset import DatasetRow, write_ndjson
 from .framing import FrameDecoder, FrameError
 from .storage import Record, SegmentStore
 
 RECV_CHUNK = 256 * 1024
 WRITE_BATCH = 1024
-DEDUP_WINDOW_S = 600.0
 
 
 @dataclass
@@ -75,10 +79,11 @@ class CollectorService:
         self.store = SegmentStore(self.config.data_dir)
         self._write_queue: deque[Record] = deque()
         self._queue_lock = threading.Lock()
-        # Exactly-once within a ten-minute arrival window: keys seen recently
-        # plus everything already persisted (seeded from the store on start).
-        self._seen: set[tuple[str, int]] = set(self.store.index_keys())
-        self._seen_order: deque[tuple[float, tuple[str, int]]] = deque()
+        # Exactly-once: a key is a duplicate while it is queued here or once
+        # the store holds it. The writer indexes a batch before it discards
+        # the batch's keys from this set, so no key is ever in neither.
+        self._queued: set[tuple[str, int]] = set()
+        self._wake = threading.Event()  # set when the write queue gains records
         self._stop = threading.Event()
         self._persisted_total = 0
         self._reject_total = 0
@@ -119,6 +124,7 @@ class CollectorService:
 
     def stop(self) -> None:
         self._stop.set()
+        self._wake.set()
         for th in self._threads:
             th.join(timeout=3.0)
         for sock in (self._ingest_sock, self._query_sock):
@@ -178,9 +184,11 @@ class CollectorService:
                 rejects += 1
                 continue
             values = env.values
-            if values.get("sender_rtt_us", 1.0) <= 0 or values.get(
-                "transfer_throughput_bytes_per_s", 0.0
-            ) < 0:
+            if (
+                not all(map(math.isfinite, values.values()))
+                or values.get("sender_rtt_us", 1.0) <= 0
+                or values.get("transfer_throughput_bytes_per_s", 0.0) < 0
+            ):
                 rejects += 1
                 continue
             candidates.append(
@@ -196,27 +204,29 @@ class CollectorService:
                 )
             )
         if candidates:
-            now = time.monotonic()
             accepted: list[Record] = []
+            # Lock order: _queue_lock, then the store's lock (inside has()).
             with self._queue_lock:
-                while self._seen_order and now - self._seen_order[0][0] > DEDUP_WINDOW_S:
-                    _, old_key = self._seen_order.popleft()
-                    self._seen.discard(old_key)
                 for key, record in candidates:
-                    if key in self._seen:
+                    if key in self._queued or self.store.has(*key):
                         rejects += 1
                         continue
-                    self._seen.add(key)
-                    self._seen_order.append((now, key))
+                    self._queued.add(key)
                     accepted.append(record)
                 self._write_queue.extend(accepted)
+            if accepted:
+                self._wake.set()
         if rejects:
             self._reject_total += rejects
 
     def _writer_loop(self) -> None:
         while not self._stop.is_set():
-            if not self._drain_queue_to_store():
-                time.sleep(0.002)
+            self._wake.wait()
+            # Clear before draining: records queued after this point set the
+            # event again, so no wakeup is lost.
+            self._wake.clear()
+            while self._drain_queue_to_store():
+                pass
 
     def _drain_queue_to_store(self) -> bool:
         with self._queue_lock:
@@ -229,6 +239,7 @@ class CollectorService:
         self.store.append_many(batch)
         self.store.flush()
         with self._queue_lock:
+            self._queued.difference_update((r.transfer_id, r.t) for r in batch)
             self._persisted_total += len(batch)
             self._rate_window.append((time.monotonic(), len(batch)))
         return True
@@ -281,36 +292,35 @@ class CollectorService:
                     reply = self._handle_query_line(line.decode("utf-8", "replace").strip())
                     if reply is None:
                         return
-                    conn.sendall(reply.encode("utf-8"))
+                    conn.sendall(reply)
         finally:
             conn.close()
 
-    def _handle_query_line(self, line: str) -> str | None:
+    def _handle_query_line(self, line: str) -> bytes | None:
         if not line:
             return None
         parts = line.split()
         cmd = parts[0].upper()
         if cmd == "STATS":
-            return self.stats().to_json() + "\n"
+            return (self.stats().to_json() + "\n").encode()
         if cmd == "QUERY":
             if len(parts) < 4:
-                return "ERR usage QUERY <transfer_id> <t0> <t1> [key ...]\n"
+                return b"ERR usage QUERY <transfer_id> <t0> <t1> [key ...]\n"
             tid = parts[1]
             try:
                 t0, t1 = int(parts[2]), int(parts[3])
             except ValueError:
-                return "ERR t0/t1 must be integers\n"
+                return b"ERR t0/t1 must be integers\n"
             keys = parts[4:] or None
             try:
                 rows = self.query(tid, t0, t1, keys)
             except KeyError:
-                return f"ERR not-found {tid}\n"
-            lines = [
-                json.dumps({"t": t, "values": values}, sort_keys=True) for t, values in rows
-            ]
-            lines.append(f"END {len(rows)}")
-            return "\n".join(lines) + "\n"
-        return f"ERR unknown command {cmd}\n"
+                return f"ERR not-found {tid}\n".encode()
+            option = orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
+            lines = [orjson.dumps({"t": t, "values": values}, option=option) for t, values in rows]
+            lines.append(f"END {len(rows)}\n".encode())
+            return b"".join(lines)
+        return f"ERR unknown command {cmd}\n".encode()
 
     def query(
         self, transfer_id: str, t0: int, t1: int, keys: list[str] | None = None
@@ -318,41 +328,32 @@ class CollectorService:
         return self.store.query(transfer_id, t0, t1, keys)
 
     # ------------------------------------------------------------------
-    def export_rows(
-        self,
-        transfer_ids: list[str] | None = None,
-        labels: dict[str, str] | None = None,
-    ) -> list[dict]:
-        """Dataset-schema rows for persisted transfers.
-
-        Labels come from the run manifest of the pipeline that produced the
-        data; transfers without one are exported as normal.
-        """
-        labels = labels or {}
-        out = []
-        for rec in self.store.iter_records(transfer_ids):
-            out.append(
-                {
-                    "testbed_id": rec.testbed_id,
-                    "transfer_id": rec.transfer_id,
-                    "t": rec.t,
-                    "label": labels.get(rec.transfer_id, "normal"),
-                    "metrics": rec.metrics,
-                }
-            )
-        return out
-
     def export_ndjson(
         self,
         path: str | Path,
         transfer_ids: list[str] | None = None,
         labels: dict[str, str] | None = None,
     ) -> int:
-        rows = self.export_rows(transfer_ids, labels)
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", encoding="utf-8") as fh:
-            for row in rows:
-                fh.write(json.dumps(row, sort_keys=True))
-                fh.write("\n")
-        return len(rows)
+        return write_ndjson(dataset_rows(self.store, transfer_ids, labels), path)
+
+
+def dataset_rows(
+    store: SegmentStore,
+    transfer_ids: list[str] | None = None,
+    labels: dict[str, str] | None = None,
+) -> Iterator[DatasetRow]:
+    """Persisted records as dataset-schema rows, streamed in (transfer_id, t)
+    order.
+
+    Labels come from the run manifest of the pipeline that produced the
+    data; transfers without one are exported as normal.
+    """
+    labels = labels or {}
+    for rec in store.iter_records(transfer_ids):
+        yield DatasetRow(
+            testbed_id=rec.testbed_id,
+            transfer_id=rec.transfer_id,
+            t=rec.t,
+            label=labels.get(rec.transfer_id, "normal"),
+            metrics=rec.metrics,
+        )

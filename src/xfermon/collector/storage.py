@@ -7,12 +7,13 @@ bytes are always a valid NDJSON prefix of what was ingested.
 """
 from __future__ import annotations
 
-import json
 import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
+
+import orjson
 
 SEGMENT_PREFIX = "segment-"
 SEGMENT_SUFFIX = ".ndjson"
@@ -27,10 +28,13 @@ class Record:
     profile: str
     metrics: dict[str, float]
 
-    def to_json(self) -> str:
-        # Key order follows dict insertion order (catalog order), which is
-        # already deterministic; skipping sort_keys keeps the writer fast.
-        return json.dumps(
+    def to_json(self) -> bytes:
+        """One compact NDJSON line, newline included.
+
+        Key order follows dict insertion order (catalog order), which is
+        already deterministic; skipping key sorting keeps the writer fast.
+        """
+        return orjson.dumps(
             {
                 "transfer_id": self.transfer_id,
                 "testbed_id": self.testbed_id,
@@ -38,7 +42,7 @@ class Record:
                 "profile": self.profile,
                 "metrics": self.metrics,
             },
-            separators=(",", ":"),
+            option=orjson.OPT_APPEND_NEWLINE,
         )
 
     @classmethod
@@ -60,9 +64,11 @@ class SegmentStore:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.segment_max_bytes = segment_max_bytes
         self._lock = threading.Lock()
-        # transfer_id -> t -> (segment index, byte offset)
-        self._index: dict[str, dict[int, tuple[int, int]]] = {}
+        # transfer_id -> t -> (segment index, byte offset, line length)
+        self._index: dict[str, dict[int, tuple[int, int, int]]] = {}
+        self._count = 0  # distinct (transfer_id, t) keys in the index
         self._segments: list[Path] = []
+        self._read_fds: dict[int, int] = {}  # segment index -> read-only fd
         self._open_fh = None
         self._open_size = 0
         self._recover()
@@ -82,11 +88,10 @@ class SegmentStore:
                     if not raw.endswith(b"\n"):
                         break  # torn tail
                     try:
-                        obj = json.loads(raw)
-                        rec = Record.from_obj(obj)
-                    except (ValueError, KeyError):
+                        rec = Record.from_obj(orjson.loads(raw))
+                    except (ValueError, KeyError, TypeError):
                         break  # corrupt line; nothing after it is trusted
-                    self._index.setdefault(rec.transfer_id, {})[rec.t] = (seg_idx, offset)
+                    self._put(rec, seg_idx, offset, len(raw))
                     offset += len(raw)
                     valid_end = offset
             if valid_end < path.stat().st_size:
@@ -108,29 +113,29 @@ class SegmentStore:
         self._open_fh = self._segments[-1].open("ab")
         self._open_size = 0
 
+    def _put(self, record: Record, seg_idx: int, offset: int, length: int) -> None:
+        """Index one stored line; the caller holds the lock or owns the store."""
+        ts = self._index.setdefault(record.transfer_id, {})
+        if record.t not in ts:
+            self._count += 1
+        ts[record.t] = (seg_idx, offset, length)
+
     # ------------------------------------------------------------------
     def append(self, record: Record) -> None:
-        with self._lock:
-            self._rotate_if_needed()
-            line = (record.to_json() + "\n").encode("utf-8")
-            seg_idx = len(self._segments) - 1
-            offset = self._open_size
-            self._open_fh.write(line)
-            self._open_size += len(line)
-            self._index.setdefault(record.transfer_id, {})[record.t] = (seg_idx, offset)
+        self.append_many([record])
 
     def append_many(self, records: list[Record]) -> None:
+        # Format outside the lock so readers and dedup lookups are not held
+        # up by serialization.
+        lines = [record.to_json() for record in records]
         with self._lock:
             self._rotate_if_needed()
             seg_idx = len(self._segments) - 1
-            chunks = []
             offset = self._open_size
-            for record in records:
-                line = (record.to_json() + "\n").encode("utf-8")
-                chunks.append(line)
-                self._index.setdefault(record.transfer_id, {})[record.t] = (seg_idx, offset)
+            for record, line in zip(records, lines):
+                self._put(record, seg_idx, offset, len(line))
                 offset += len(line)
-            self._open_fh.write(b"".join(chunks))
+            self._open_fh.write(b"".join(lines))
             self._open_size = offset
 
     def flush(self, sync: bool = False) -> None:
@@ -147,31 +152,31 @@ class SegmentStore:
                 self._open_fh.flush()
                 self._open_fh.close()
                 self._open_fh = None
+            for fd in self._read_fds.values():
+                os.close(fd)
+            self._read_fds.clear()
 
     # ------------------------------------------------------------------
     @property
     def record_count(self) -> int:
-        with self._lock:
-            return sum(len(ts) for ts in self._index.values())
+        return self._count
 
     def transfer_ids(self) -> list[str]:
         with self._lock:
             return sorted(self._index)
 
-    def index_keys(self) -> list[tuple[str, int]]:
-        """Every persisted (transfer_id, t); used to seed dedup on restart."""
-        with self._lock:
-            return [(tid, t) for tid, ts in self._index.items() for t in ts]
-
     def has(self, transfer_id: str, t: int) -> bool:
         with self._lock:
             return t in self._index.get(transfer_id, {})
 
-    def _read_at(self, seg_idx: int, offset: int) -> Record:
-        path = self._segments[seg_idx]
-        with path.open("rb") as fh:
-            fh.seek(offset)
-            return Record.from_obj(json.loads(fh.readline()))
+    def _read_at(self, seg_idx: int, offset: int, length: int) -> Record:
+        fd = self._read_fds.get(seg_idx)
+        if fd is None:
+            with self._lock:
+                fd = self._read_fds.get(seg_idx)
+                if fd is None:
+                    fd = self._read_fds[seg_idx] = os.open(self._segments[seg_idx], os.O_RDONLY)
+        return Record.from_obj(orjson.loads(os.pread(fd, length, offset)))
 
     def get(self, transfer_id: str, t: int) -> Record | None:
         with self._lock:
@@ -210,7 +215,7 @@ class SegmentStore:
             if keys:
                 out.append((t, {k: rec.metrics.get(k) for k in keys}))
             else:
-                out.append((t, dict(rec.metrics)))
+                out.append((t, rec.metrics))
         return out
 
     def time_range(self, transfer_id: str) -> tuple[int, int] | None:

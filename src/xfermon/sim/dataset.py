@@ -8,11 +8,12 @@ needed to reproduce the runs exactly.
 """
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable
+
+import orjson
 
 from .anomaly import (
     LABEL_CLASSES,
@@ -35,8 +36,9 @@ class DatasetRow:
     label: str
     metrics: dict[str, float]
 
-    def to_json(self) -> str:
-        return json.dumps(
+    def to_json(self) -> bytes:
+        """One compact NDJSON line with sorted keys, newline included."""
+        return orjson.dumps(
             {
                 "testbed_id": self.testbed_id,
                 "transfer_id": self.transfer_id,
@@ -44,7 +46,7 @@ class DatasetRow:
                 "label": self.label,
                 "metrics": self.metrics,
             },
-            sort_keys=True,
+            option=orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE,
         )
 
 
@@ -162,23 +164,22 @@ def write_ndjson(rows: Iterable[DatasetRow], path: str | Path) -> int:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     n = 0
-    with path.open("w", encoding="utf-8") as fh:
+    with path.open("wb") as fh:
         for row in rows:
             fh.write(row.to_json())
-            fh.write("\n")
             n += 1
     return n
 
 
 def load_ndjson(path: str | Path) -> list[DatasetRow]:
     rows = []
-    with Path(path).open("r", encoding="utf-8") as fh:
+    with Path(path).open("rb") as fh:
         for line_no, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj = orjson.loads(line)
                 rows.append(
                     DatasetRow(
                         testbed_id=obj["testbed_id"],
@@ -188,6 +189,6 @@ def load_ndjson(path: str | Path) -> list[DatasetRow]:
                         metrics={k: float(v) for k, v in obj["metrics"].items()},
                     )
                 )
-            except (KeyError, ValueError, json.JSONDecodeError) as exc:
+            except (KeyError, ValueError, TypeError) as exc:
                 raise ValueError(f"{path}:{line_no}: bad dataset record: {exc}") from exc
     return rows

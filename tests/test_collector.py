@@ -1,10 +1,12 @@
 """Collector: framing, ingest semantics, queries, persistence safety."""
+import dataclasses
 import json
 import socket
 import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from xfermon.collector import (
@@ -107,6 +109,23 @@ def test_ingest_rejects_malformed_envelope(collector):
     assert collector.stats().reject_total == 1
 
 
+def test_ingest_rejects_non_finite_values(collector):
+    good = make_envelope(transfer_id="finite", t=0)
+    bad = [
+        dataclasses.replace(good, timestamp=t, values={**good.values, name: value})
+        for t, name, value in (
+            (1, "sender_rtt_us", float("nan")),
+            (2, "transfer_throughput_bytes_per_s", float("inf")),
+        )
+    ]
+    blob = b"".join(encode_frame(encode_envelope(e)) for e in bad + [good])
+    send_frames(collector.ingest_address, blob)
+    assert wait_for(lambda: collector.stats().persisted_total == 1)
+    assert collector.stats().reject_total == 2
+    assert collector.store.has("finite", 0)
+    assert not collector.store.has("finite", 1) and not collector.store.has("finite", 2)
+
+
 def test_oversize_frame_resets_connection(collector):
     with socket.create_connection(collector.ingest_address) as sock:
         sock.sendall((MAX_FRAME_BYTES + 5).to_bytes(4, "big"))
@@ -158,6 +177,36 @@ def test_stats_is_safe_while_the_writer_persists(tmp_path):
         service.stop()
     assert not writer.is_alive()
     assert service.stats().persisted_total == 3000
+
+
+def test_concurrent_duplicates_persist_each_key_once(tmp_path):
+    # Four feeders race the writer with the same keys, in small chunks, so
+    # keys move from queued to stored while other feeders check them.
+    service = CollectorService(CollectorConfig(data_dir=tmp_path / "dup-race"))
+    service.start()
+    payloads = [encode_envelope(make_envelope(transfer_id="race", t=t)) for t in range(500)]
+
+    def feed():
+        for i in range(0, len(payloads), 5):
+            service._ingest_payloads(payloads[i : i + 5])
+
+    feeders = [threading.Thread(target=feed) for _ in range(4)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in feeders:
+            th.start()
+        for th in feeders:
+            th.join(timeout=30)
+        assert wait_for(lambda: service.stats().persisted_total == 500)
+    finally:
+        sys.setswitchinterval(switch)
+        service.stop()
+    assert not any(th.is_alive() for th in feeders)
+    stats = service.stats()
+    assert (stats.persisted_total, stats.reject_total) == (500, 1500)
+    lines = next((tmp_path / "dup-race").glob("segment-*")).read_bytes().splitlines()
+    assert len(lines) == 500
 
 
 def test_stop_persists_the_whole_write_queue(tmp_path):
@@ -246,10 +295,27 @@ def test_export_reimport_identity(collector, tmp_path):
     assert [r.t for r in rows] == list(range(10))
 
     again = tmp_path / "again.ndjson"
-    with again.open("w") as fh:
+    with again.open("wb") as fh:
         for r in rows:
-            fh.write(r.to_json() + "\n")
+            fh.write(r.to_json())
     assert load_ndjson(again) == rows
+
+
+def test_cli_export_is_byte_identical_to_export_ndjson(collector, tmp_path):
+    from xfermon.cli import main
+
+    for tid in ("x-2", "x-1"):
+        blob = b"".join(
+            encode_frame(encode_envelope(make_envelope(transfer_id=tid, t=t))) for t in range(5)
+        )
+        send_frames(collector.ingest_address, blob)
+    assert wait_for(lambda: collector.stats().persisted_total == 10)
+    service_out = tmp_path / "service.ndjson"
+    assert collector.export_ndjson(service_out) == 10
+    cli_out = tmp_path / "cli.ndjson"
+    data_dir = str(collector.config.data_dir)
+    assert main(["export", "--data-dir", data_dir, "--out", str(cli_out)]) == 0
+    assert cli_out.read_bytes() == service_out.read_bytes()
 
 
 def test_export_empty_store_is_empty_file(collector, tmp_path):
@@ -284,6 +350,24 @@ def test_recovery_truncates_torn_tail(tmp_path):
     reopened = SegmentStore(d)
     assert reopened.record_count == 51
     assert reopened.get("r-1", 50).metrics["m"] == 50.0
+    reopened.close()
+
+
+def test_numpy_scalars_are_refused_not_coerced():
+    with pytest.raises(TypeError):
+        Record("np", "tb1", 0, "minimal14", {"m": np.float64(1.5)}).to_json()
+
+
+def test_record_count_counts_distinct_keys_across_reopen(tmp_path):
+    d = tmp_path / "store"
+    store = SegmentStore(d)
+    store.append_many([Record("k-1", "tb1", 4, "minimal14", {"m": 1.0})])
+    store.append_many([Record("k-1", "tb1", 4, "minimal14", {"m": 2.0})])
+    assert store.record_count == 1
+    store.close()
+    reopened = SegmentStore(d)
+    assert reopened.record_count == 1
+    assert reopened.get("k-1", 4).metrics["m"] == 2.0  # the later line wins
     reopened.close()
 
 

@@ -1,10 +1,14 @@
 """Property suites: round trips, invariants, determinism, scale invariance."""
+import itertools
+import json
 import random
+import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from xfermon.collector import CollectorConfig, CollectorService, Record, SegmentStore
 from xfermon.diagnose import RuleConfig, classify, fit_baseline
 from xfermon.metrics import (
     MINIMAL_NAMES,
@@ -14,7 +18,17 @@ from xfermon.metrics import (
     decode_envelope,
     encode_envelope,
 )
-from xfermon.sim import AnomalyClass, Engine, build_run, builtin_testbeds, get_testbed, run_rows
+from xfermon.sim import (
+    AnomalyClass,
+    DatasetRow,
+    Engine,
+    build_run,
+    builtin_testbeds,
+    get_testbed,
+    load_ndjson,
+    run_rows,
+    write_ndjson,
+)
 from xfermon.sim.engine import max_min_rates
 
 from tests.test_sim import assert_conservation_and_capacity, random_run
@@ -47,6 +61,40 @@ def envelopes(draw):
 @given(envelopes())
 def test_envelope_roundtrip_is_identity(env):
     assert decode_envelope(encode_envelope(env)) == env
+
+
+# ----------------------------------------------------------------------
+# NDJSON row round trip
+# ----------------------------------------------------------------------
+
+def test_finite_floats_survive_store_query_and_dataset_bit_for_bit(tmp_path):
+    examples = itertools.count()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=16))
+    @example([-0.0, 0.0, 5e-324, -2.5e-320, 2.2250738585072014e-308, 1.7976931348623157e308])
+    def check(floats):
+        metrics = {f"m{i}": v for i, v in enumerate(floats)}
+        expected = {k: struct.pack(">d", v) for k, v in metrics.items()}
+        d = tmp_path / f"store-{next(examples)}"
+        store = SegmentStore(d)
+        store.append_many([Record("rt", "tb1", 0, "minimal14", metrics)])
+        store.close()
+        service = CollectorService(CollectorConfig(data_dir=d))  # reopens the store
+        try:
+            reply = service._handle_query_line("QUERY rt 0 0").decode().splitlines()
+        finally:
+            service.stop()
+        assert reply[-1] == "END 1"
+        values = json.loads(reply[0])["values"]
+        assert {k: struct.pack(">d", v) for k, v in values.items()} == expected
+
+        path = d / "rows.ndjson"
+        write_ndjson([DatasetRow("tb1", "rt", 0, "normal", metrics)], path)
+        (row,) = load_ndjson(path)
+        assert {k: struct.pack(">d", v) for k, v in row.metrics.items()} == expected
+
+    check()
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Simulator contracts: rate models, injection semantics, dataset generation."""
 import random
+import re
 import statistics
 
 import pytest
@@ -21,6 +22,7 @@ from xfermon.sim import (
     generate_dataset,
     get_testbed,
     inject,
+    load_ndjson,
     mathis_rate,
     run_rows,
     sweep_spec,
@@ -362,6 +364,17 @@ def test_dataset_determinism_byte_identical(tmp_path):
     write_ndjson(rows1, a)
     write_ndjson(rows2, b)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_load_ndjson_null_metric_is_a_numbered_data_error(tmp_path):
+    rows, _ = generate_dataset([get_testbed("tb1")], runs_per_class=1, seed=3, duration_s=2)
+    path = tmp_path / "null.ndjson"
+    write_ndjson(rows[:2], path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[1] = re.sub(rb'"sender_rtt_us":[^,}]+', b'"sender_rtt_us":null', lines[1])
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ValueError, match=r"null\.ndjson:2: bad dataset record"):
+        load_ndjson(path)
 
 
 def test_dataset_different_seeds_differ():
