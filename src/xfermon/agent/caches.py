@@ -9,7 +9,6 @@ silently old data.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 from typing import Callable
 

@@ -9,11 +9,14 @@ A second listener speaks a line-oriented query protocol:
 
     QUERY <transfer_id> <t0> <t1> [key ...]   -> NDJSON rows, then "END <n>"
     STATS                                     -> one JSON line
+
+Every envelope is decoded and then checked with validate_envelope(); one
+that breaks any invariant is rejected, never stored.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
-import math
 import socket
 import threading
 import time
@@ -24,13 +27,16 @@ from typing import Iterator
 
 import orjson
 
-from ..metrics.envelope import EnvelopeDecodeError, decode_envelope
+from ..metrics.envelope import EnvelopeDecodeError, decode_envelope, validate_envelope
 from ..sim.dataset import DatasetRow, write_ndjson
 from .framing import FrameDecoder, FrameError
 from .storage import Record, SegmentStore
 
 RECV_CHUNK = 256 * 1024
 WRITE_BATCH = 1024
+# On stop, open ingest connections read on until EOF or until this long after
+# stop() began; frames still unread then are counted in stop_drop_total.
+STOP_DRAIN_S = 1.0
 
 
 @dataclass
@@ -40,16 +46,6 @@ class CollectorConfig:
     ingest_port: int = 0  # 0 picks a free port
     query_port: int = 0
 
-    @classmethod
-    def load(cls, path: str | Path) -> "CollectorConfig":
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(
-            data_dir=obj.get("data_dir", "collector-data"),
-            host=obj.get("host", "127.0.0.1"),
-            ingest_port=int(obj.get("ingest_port", 0)),
-            query_port=int(obj.get("query_port", 0)),
-        )
-
 
 @dataclass
 class IngestStats:
@@ -57,18 +53,11 @@ class IngestStats:
     queue_depth: int = 0
     persisted_total: int = 0
     reject_total: int = 0
+    stop_drop_total: int = 0
     connections: int = 0
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "msgs_per_s": self.msgs_per_s,
-                "queue_depth": self.queue_depth,
-                "persisted_total": self.persisted_total,
-                "reject_total": self.reject_total,
-                "connections": self.connections,
-            }
-        )
+        return json.dumps(dataclasses.asdict(self))
 
 
 class CollectorService:
@@ -85,10 +74,14 @@ class CollectorService:
         self._queued: set[tuple[str, int]] = set()
         self._wake = threading.Event()  # set when the write queue gains records
         self._stop = threading.Event()
+        self._drain_until = 0.0  # set by stop(): when open connections are cut
+        # Counters and the open ingest connections' threads; all guarded by
+        # _queue_lock.
         self._persisted_total = 0
         self._reject_total = 0
-        self._connections = 0
+        self._stop_drop_total = 0
         self._rate_window: deque[tuple[float, int]] = deque(maxlen=64)
+        self._conn_threads: set[threading.Thread] = set()
         self._threads: list[threading.Thread] = []
         self._ingest_sock: socket.socket | None = None
         self._query_sock: socket.socket | None = None
@@ -123,6 +116,7 @@ class CollectorService:
         return sock
 
     def stop(self) -> None:
+        self._drain_until = time.monotonic() + STOP_DRAIN_S
         self._stop.set()
         self._wake.set()
         for th in self._threads:
@@ -130,6 +124,12 @@ class CollectorService:
         for sock in (self._ingest_sock, self._query_sock):
             if sock is not None:
                 sock.close()
+        # No connection is accepted any more; the open ones end by EOF or by
+        # STOP_DRAIN_S, and whatever they queued is persisted below.
+        with self._queue_lock:
+            conn_threads = list(self._conn_threads)
+        for th in conn_threads:
+            th.join()
         while self._drain_queue_to_store():
             pass
         self.store.flush(sync=True)
@@ -146,15 +146,22 @@ class CollectorService:
                 continue
             except OSError:
                 return
-            self._connections += 1
             th = threading.Thread(target=self._ingest_conn, args=(conn,), daemon=True)
+            with self._queue_lock:
+                self._conn_threads.add(th)
             th.start()
 
     def _ingest_conn(self, conn: socket.socket) -> None:
         decoder = FrameDecoder()
         conn.settimeout(0.5)
         try:
-            while not self._stop.is_set():
+            while True:
+                if self._stop.is_set():
+                    left = self._drain_until - time.monotonic()
+                    if left <= 0:
+                        self._drop_unread(conn, decoder)
+                        return
+                    conn.settimeout(left)
                 try:
                     chunk = conn.recv(RECV_CHUNK)
                 except socket.timeout:
@@ -172,7 +179,27 @@ class CollectorService:
                     self._ingest_payloads(payloads)
         finally:
             conn.close()
-            self._connections -= 1
+            with self._queue_lock:
+                self._conn_threads.discard(threading.current_thread())
+
+    def _drop_unread(self, conn: socket.socket, decoder: FrameDecoder) -> None:
+        """Count what a connection cut at the stop deadline leaves behind:
+        the frames already received but not read, and a partial frame."""
+        budget = conn.getsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF)
+        conn.setblocking(False)
+        dropped = 0
+        try:
+            while budget > 0:
+                chunk = conn.recv(min(RECV_CHUNK, budget))
+                if not chunk:
+                    break
+                budget -= len(chunk)
+                dropped += len(decoder.feed(chunk))
+        except (OSError, FrameError):
+            pass  # nothing more is buffered, or the rest is not framed
+        dropped += decoder.pending_bytes > 0
+        with self._queue_lock:
+            self._stop_drop_total += dropped
 
     def _ingest_payloads(self, payloads: list[bytes]) -> None:
         candidates: list[tuple[tuple[str, int], Record]] = []
@@ -183,12 +210,7 @@ class CollectorService:
             except EnvelopeDecodeError:
                 rejects += 1
                 continue
-            values = env.values
-            if (
-                not all(map(math.isfinite, values.values()))
-                or values.get("sender_rtt_us", 1.0) <= 0
-                or values.get("transfer_throughput_bytes_per_s", 0.0) < 0
-            ):
+            if validate_envelope(env):
                 rejects += 1
                 continue
             candidates.append(
@@ -199,25 +221,23 @@ class CollectorService:
                         testbed_id=env.testbed_id,
                         t=env.timestamp,
                         profile=env.profile.value,
-                        metrics=values,
+                        metrics=env.values,
                     ),
                 )
             )
-        if candidates:
-            accepted: list[Record] = []
-            # Lock order: _queue_lock, then the store's lock (inside has()).
-            with self._queue_lock:
-                for key, record in candidates:
-                    if key in self._queued or self.store.has(*key):
-                        rejects += 1
-                        continue
-                    self._queued.add(key)
-                    accepted.append(record)
-                self._write_queue.extend(accepted)
-            if accepted:
-                self._wake.set()
-        if rejects:
+        accepted: list[Record] = []
+        # Lock order: _queue_lock, then the store's lock (inside has()).
+        with self._queue_lock:
+            for key, record in candidates:
+                if key in self._queued or self.store.has(*key):
+                    rejects += 1
+                    continue
+                self._queued.add(key)
+                accepted.append(record)
+            self._write_queue.extend(accepted)
             self._reject_total += rejects
+        if accepted:
+            self._wake.set()
 
     def _writer_loop(self) -> None:
         while not self._stop.is_set():
@@ -225,7 +245,9 @@ class CollectorService:
             # Clear before draining: records queued after this point set the
             # event again, so no wakeup is lost.
             self._wake.clear()
-            while self._drain_queue_to_store():
+            # After stop, ingest connections may still be queueing; stop()
+            # persists the rest once they have ended.
+            while not self._stop.is_set() and self._drain_queue_to_store():
                 pass
 
     def _drain_queue_to_store(self) -> bool:
@@ -248,16 +270,14 @@ class CollectorService:
     def stats(self) -> IngestStats:
         now = time.monotonic()
         with self._queue_lock:
-            depth = len(self._write_queue)
-            window = list(self._rate_window)
-        recent = [n for ts, n in window if now - ts <= 1.0]
-        return IngestStats(
-            msgs_per_s=float(sum(recent)),
-            queue_depth=depth,
-            persisted_total=self._persisted_total,
-            reject_total=self._reject_total,
-            connections=self._connections,
-        )
+            return IngestStats(
+                msgs_per_s=float(sum(n for ts, n in self._rate_window if now - ts <= 1.0)),
+                queue_depth=len(self._write_queue),
+                persisted_total=self._persisted_total,
+                reject_total=self._reject_total,
+                stop_drop_total=self._stop_drop_total,
+                connections=len(self._conn_threads),
+            )
 
     # ------------------------------------------------------------------
     # query path
@@ -316,6 +336,8 @@ class CollectorService:
                 rows = self.query(tid, t0, t1, keys)
             except KeyError:
                 return f"ERR not-found {tid}\n".encode()
+            except ValueError as exc:
+                return f"ERR {exc}\n".encode()
             option = orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE
             lines = [orjson.dumps({"t": t, "values": values}, option=option) for t, values in rows]
             lines.append(f"END {len(rows)}\n".encode())

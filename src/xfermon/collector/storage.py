@@ -18,6 +18,8 @@ import orjson
 SEGMENT_PREFIX = "segment-"
 SEGMENT_SUFFIX = ".ndjson"
 DEFAULT_SEGMENT_MAX_BYTES = 256 << 20
+# A query builds one row per second of its range, so the range is capped.
+MAX_QUERY_SPAN_S = 86_400
 
 
 @dataclass(frozen=True)
@@ -194,7 +196,15 @@ class SegmentStore:
         keys: list[str] | None = None,
     ) -> list[tuple[int, dict[str, float | None]]]:
         """Ordered (t, values) rows over [t0, t1]; missing seconds are rows
-        of explicit None values so gaps stay visible."""
+        of explicit None values so gaps stay visible.
+
+        Raises ValueError if t0 > t1 or the range spans more than
+        MAX_QUERY_SPAN_S seconds, KeyError for an unknown transfer.
+        """
+        if t0 > t1:
+            raise ValueError(f"t0 {t0} is after t1 {t1}")
+        if t1 - t0 + 1 > MAX_QUERY_SPAN_S:
+            raise ValueError(f"range of {t1 - t0 + 1} s exceeds {MAX_QUERY_SPAN_S} s")
         with self._lock:
             if transfer_id not in self._index:
                 raise KeyError(f"unknown transfer {transfer_id!r}")
@@ -217,13 +227,6 @@ class SegmentStore:
             else:
                 out.append((t, rec.metrics))
         return out
-
-    def time_range(self, transfer_id: str) -> tuple[int, int] | None:
-        with self._lock:
-            ts = self._index.get(transfer_id)
-            if not ts:
-                return None
-            return min(ts), max(ts)
 
     def iter_records(self, transfer_ids: list[str] | None = None) -> Iterator[Record]:
         """All records in (transfer_id, t) order."""

@@ -266,15 +266,6 @@ def classify(
     return diag(RuleId.NORMAL_FALLBACK, {})
 
 
-@dataclass(frozen=True)
-class WindowPrediction:
-    transfer_id: str
-    testbed_id: str
-    window_start: int
-    diagnosis: Diagnosis
-    truth: str | None = None
-
-
 def classify_run_windows(
     rows: Sequence[dict[str, float]],
     baseline: BaselineProfile,

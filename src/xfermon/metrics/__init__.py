@@ -10,8 +10,6 @@ from .catalog import (
     Side,
     catalog,
     catalog_names,
-    key_by_name,
-    key_index,
 )
 from .envelope import (
     PAYLOAD_LIMIT_BYTES,
@@ -34,8 +32,6 @@ __all__ = [
     "Side",
     "catalog",
     "catalog_names",
-    "key_by_name",
-    "key_index",
     "PAYLOAD_LIMIT_BYTES",
     "EnvelopeDecodeError",
     "MetricEnvelope",

@@ -37,18 +37,6 @@ class Profile(enum.Enum):
     FULL142 = "full142"
     MINIMAL14 = "minimal14"
 
-    @property
-    def wire_id(self) -> int:
-        return 0 if self is Profile.FULL142 else 1
-
-    @classmethod
-    def from_wire_id(cls, wire_id: int) -> "Profile":
-        if wire_id == 0:
-            return cls.FULL142
-        if wire_id == 1:
-            return cls.MINIMAL14
-        raise ValueError(f"unknown profile wire id {wire_id}")
-
 
 @dataclass(frozen=True)
 class MetricKey:
@@ -192,12 +180,9 @@ FULL_KEYS: tuple[MetricKey, ...] = MINIMAL_KEYS + tuple(
 MINIMAL_NAMES: tuple[str, ...] = tuple(k.name for k in MINIMAL_KEYS)
 FULL_NAMES: tuple[str, ...] = tuple(k.name for k in FULL_KEYS)
 
-_INDEX_BY_NAME: dict[str, int] = {name: i for i, name in enumerate(FULL_NAMES)}
-_KEY_BY_NAME: dict[str, MetricKey] = {k.name: k for k in FULL_KEYS}
-
 assert len(FULL_KEYS) == 142, f"full catalog has {len(FULL_KEYS)} keys, want 142"
 assert len(MINIMAL_KEYS) == 14
-assert len(_INDEX_BY_NAME) == 142, "catalog names must be unique"
+assert len(set(FULL_NAMES)) == 142, "catalog names must be unique"
 
 
 def catalog(profile: Profile) -> tuple[MetricKey, ...]:
@@ -212,15 +197,3 @@ def catalog(profile: Profile) -> tuple[MetricKey, ...]:
 def catalog_names(profile: Profile) -> tuple[str, ...]:
     return FULL_NAMES if profile is Profile.FULL142 else MINIMAL_NAMES
 
-
-def key_index(name: str) -> int:
-    """Wire index of a catalog key (position in the full catalog)."""
-    return _INDEX_BY_NAME[name]
-
-
-def key_by_name(name: str) -> MetricKey:
-    return _KEY_BY_NAME[name]
-
-
-def is_catalog_name(name: str) -> bool:
-    return name in _INDEX_BY_NAME

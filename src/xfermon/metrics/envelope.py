@@ -1,6 +1,6 @@
 """Metric envelopes: one per-second bundle of a transfer's counters.
 
-Wire encoding (big-endian, self-describing):
+Wire encoding (big-endian):
 
     u8   format version (currently 1)
     u8   profile id (0 = full142, 1 = minimal14)
@@ -10,6 +10,8 @@ Wire encoding (big-endian, self-describing):
     u16  entry count
     entry count times: u8 catalog index, f64 value
 
+Each profile has exactly one layout: its keys in catalog order, entry i
+carrying catalog index i. Decoding accepts that layout and nothing else.
 Catalog indexes replace key names, which keeps a minimal envelope around
 150 bytes and a full one around 1.3 KiB. Envelopes are immutable value
 objects and safe to share across threads.
@@ -17,16 +19,11 @@ objects and safe to share across threads.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass, field
 
-from .catalog import (
-    FULL_NAMES,
-    MINIMAL_NAMES,
-    Profile,
-    catalog_names,
-    key_index,
-)
+from .catalog import Profile, catalog_names
 
 ENCODING_VERSION = 1
 
@@ -44,19 +41,34 @@ THROUGHPUT_SLACK_FRACTION = 0.05
 
 _HEADER = struct.Struct(">BBI")
 _COUNT = struct.Struct(">H")
-_ENTRY_FMTS: dict[int, struct.Struct] = {}
-_CANONICAL_INDEXES = {
-    Profile.FULL142: tuple(range(len(FULL_NAMES))),
-    Profile.MINIMAL14: tuple(range(len(MINIMAL_NAMES))),
+
+
+class _Layout:
+    """The one wire layout of a profile, built once at import.
+
+    A profile's names are a prefix of the full catalog, so the catalog index
+    of entry i is i.
+    """
+
+    def __init__(self, profile: Profile, wire_id: int):
+        names = catalog_names(profile)
+        self.profile = profile
+        self.wire_id = wire_id
+        self.names = names
+        self.name_set = frozenset(names)
+        self.indexes = tuple(range(len(names)))
+        self.values_of = operator.itemgetter(*names)
+        self.entries = struct.Struct(">" + "Bd" * len(names))
+        self.count = _COUNT.pack(len(names))
+        # (index, value) pairs flattened; encode fills the value slots.
+        self.template = [x for i in self.indexes for x in (i, 0.0)]
+
+
+_LAYOUTS = {
+    Profile.FULL142: _Layout(Profile.FULL142, 0),
+    Profile.MINIMAL14: _Layout(Profile.MINIMAL14, 1),
 }
-
-
-def _entry_struct(count: int) -> struct.Struct:
-    st = _ENTRY_FMTS.get(count)
-    if st is None:
-        st = struct.Struct(">" + "Bd" * count)
-        _ENTRY_FMTS[count] = st
-    return st
+_LAYOUT_BY_WIRE_ID = {layout.wire_id: layout for layout in _LAYOUTS.values()}
 
 
 @dataclass(frozen=True)
@@ -66,9 +78,6 @@ class MetricEnvelope:
     timestamp: int
     profile: Profile
     values: dict[str, float] = field(compare=True)
-
-    def value(self, name: str) -> float:
-        return self.values[name]
 
 
 @dataclass(frozen=True)
@@ -90,30 +99,36 @@ def encode_envelope(env: MetricEnvelope) -> bytes:
     tbid = env.testbed_id.encode("utf-8")
     if len(tid) > 255 or len(tbid) > 255:
         raise ValueError("envelope ids longer than 255 bytes cannot be encoded")
-    names = catalog_names(env.profile)
-    count = len(names)
-    parts = [
-        _HEADER.pack(ENCODING_VERSION, env.profile.wire_id, env.timestamp),
-        bytes([len(tid)]),
-        tid,
-        bytes([len(tbid)]),
-        tbid,
-        _COUNT.pack(count),
-    ]
-    flat: list[float | int] = []
-    for name in names:
-        flat.append(key_index(name))
-        flat.append(env.values[name])
-    parts.append(_entry_struct(count).pack(*flat))
-    return b"".join(parts)
+    layout = _LAYOUTS[env.profile]
+    flat = layout.template.copy()
+    flat[1::2] = layout.values_of(env.values)
+    return b"".join(
+        (
+            _HEADER.pack(ENCODING_VERSION, layout.wire_id, env.timestamp),
+            bytes((len(tid),)),
+            tid,
+            bytes((len(tbid),)),
+            tbid,
+            layout.count,
+            layout.entries.pack(*flat),
+        )
+    )
 
 
 def decode_envelope(data: bytes) -> MetricEnvelope:
-    """Parse wire bytes back into an envelope. Raises EnvelopeDecodeError."""
+    """Parse wire bytes back into an envelope. Raises EnvelopeDecodeError.
+
+    Only the profile's own layout decodes: the right entry count with the
+    catalog indexes in order. Decoding checks structure only;
+    validate_envelope() checks the values.
+    """
     try:
         version, profile_id, timestamp = _HEADER.unpack_from(data, 0)
         if version != ENCODING_VERSION:
             raise EnvelopeDecodeError(f"unsupported encoding version {version}")
+        layout = _LAYOUT_BY_WIRE_ID.get(profile_id)
+        if layout is None:
+            raise EnvelopeDecodeError(f"unknown profile id {profile_id}")
         off = _HEADER.size
         tid_len = data[off]
         off += 1
@@ -125,36 +140,23 @@ def decode_envelope(data: bytes) -> MetricEnvelope:
         off += tbid_len
         (count,) = _COUNT.unpack_from(data, off)
         off += _COUNT.size
-        profile = Profile.from_wire_id(profile_id)
-        names = catalog_names(profile)
-        if count != len(names):
+        if count != len(layout.names):
             raise EnvelopeDecodeError(
-                f"profile {profile.value} expects {len(names)} entries, frame has {count}"
+                f"profile {layout.profile.value} expects {len(layout.names)} entries, "
+                f"frame has {count}"
             )
-        flat = _entry_struct(count).unpack_from(data, off)
-        off += _entry_struct(count).size
+        flat = layout.entries.unpack_from(data, off)
+        off += layout.entries.size
         if off != len(data):
             raise EnvelopeDecodeError(f"{len(data) - off} trailing bytes after envelope")
     except (struct.error, IndexError, UnicodeDecodeError) as exc:
         raise EnvelopeDecodeError(f"truncated or corrupt envelope: {exc}") from exc
-
-    indexes = flat[0::2]
-    if indexes == _CANONICAL_INDEXES[profile]:
-        # Fast path: entries arrived in canonical catalog order.
-        values = dict(zip(names, flat[1::2]))
-    else:
-        values = {}
-        for i in range(count):
-            idx = flat[2 * i]
-            if idx >= len(FULL_NAMES):
-                raise EnvelopeDecodeError(f"catalog index {idx} out of range")
-            values[FULL_NAMES[idx]] = flat[2 * i + 1]
+    if flat[0::2] != layout.indexes:
+        raise EnvelopeDecodeError(
+            f"entries are not the {layout.profile.value} catalog indexes in order"
+        )
     return MetricEnvelope(
-        transfer_id=transfer_id,
-        testbed_id=testbed_id,
-        timestamp=timestamp,
-        profile=profile,
-        values=values,
+        transfer_id, testbed_id, timestamp, layout.profile, dict(zip(layout.names, flat[1::2]))
     )
 
 
@@ -165,48 +167,59 @@ def validate_envelope(env: MetricEnvelope) -> list[Violation]:
     runtime event at the collector boundary.
     """
     out: list[Violation] = []
-    names = catalog_names(env.profile)
-    expected = set(names)
+    layout = _LAYOUTS[env.profile]
+    tid_bytes = len(env.transfer_id.encode("utf-8"))
+    tbid_bytes = len(env.testbed_id.encode("utf-8"))
 
-    if not env.transfer_id or len(env.transfer_id.encode("utf-8")) > MAX_ID_BYTES:
+    if not tid_bytes or tid_bytes > MAX_ID_BYTES:
         out.append(Violation("bad-id", f"transfer_id empty or over {MAX_ID_BYTES} bytes"))
-    if not env.testbed_id or len(env.testbed_id.encode("utf-8")) > MAX_ID_BYTES:
+    if not tbid_bytes or tbid_bytes > MAX_ID_BYTES:
         out.append(Violation("bad-id", f"testbed_id empty or over {MAX_ID_BYTES} bytes"))
     if not isinstance(env.timestamp, int) or env.timestamp < 0 or env.timestamp > 0xFFFFFFFF:
         out.append(Violation("bad-timestamp", f"timestamp {env.timestamp!r} not a u32"))
 
-    for name in names:
-        if name not in env.values:
-            out.append(Violation("missing-key", f"missing key {name}"))
-    for name, val in env.values.items():
-        if name not in expected:
-            out.append(Violation("extra-key", f"unexpected key {name}"))
-            continue
-        if not isinstance(val, (int, float)) or not math.isfinite(val):
-            out.append(Violation("non-finite", f"{name} = {val!r}"))
-        elif val < 0:
-            out.append(Violation("negative-value", f"{name} = {val}"))
+    values = env.values
+    if values.keys() != layout.name_set:
+        for name in layout.names:
+            if name not in values:
+                out.append(Violation("missing-key", f"missing key {name}"))
+        for name in values:
+            if name not in layout.name_set:
+                out.append(Violation("extra-key", f"unexpected key {name}"))
+    # Two C-level scans; only when they fail are the values read key by key,
+    # and a sum of finite values that overflows to inf fails them harmlessly.
+    try:
+        scanned_ok = min(values.values()) >= 0 and math.isfinite(sum(values.values()))
+    except (TypeError, ValueError, OverflowError):
+        scanned_ok = False
+    if not scanned_ok:
+        finite = {}
+        for name, val in values.items():
+            if name not in layout.name_set:
+                continue
+            if not isinstance(val, (int, float)) or not math.isfinite(val):
+                out.append(Violation("non-finite", f"{name} = {val!r}"))
+                continue
+            finite[name] = val
+            if val < 0:
+                out.append(Violation("negative-value", f"{name} = {val}"))
+        values = finite  # the coupled checks read only finite values
 
-    def _get(name: str) -> float | None:
-        val = env.values.get(name)
-        if isinstance(val, (int, float)) and math.isfinite(val):
-            return float(val)
-        return None
-
-    rtt = _get("sender_rtt_us")
+    get = values.get
+    rtt = get("sender_rtt_us")
     if rtt is not None and rtt <= 0:
         out.append(Violation("rtt-nonpositive", f"sender_rtt_us = {rtt}"))
 
-    retx = _get("sender_retransmitted_packets")
-    sent = _get("sender_total_sent_packets")
+    retx = get("sender_retransmitted_packets")
+    sent = get("sender_total_sent_packets")
     if retx is not None and sent is not None and retx > sent:
         out.append(
             Violation("retransmit-exceeds-sent", f"retransmits {retx} exceed sent {sent}")
         )
 
-    thr = _get("transfer_throughput_bytes_per_s")
-    cread = _get("sender_client_read_bytes_per_s")
-    cwrite = _get("receiver_client_write_bytes_per_s")
+    thr = get("transfer_throughput_bytes_per_s")
+    cread = get("sender_client_read_bytes_per_s")
+    cwrite = get("receiver_client_write_bytes_per_s")
     if thr is not None and cread is not None and cwrite is not None:
         ceiling = min(cread, cwrite) + THROUGHPUT_SLACK_FRACTION * thr
         if thr > ceiling:
@@ -219,7 +232,7 @@ def validate_envelope(env: MetricEnvelope) -> list[Violation]:
 
     # Size check only makes sense once the structural checks pass.
     if not out:
-        size = len(encode_envelope(env))
+        size = _HEADER.size + 1 + tid_bytes + 1 + tbid_bytes + _COUNT.size + layout.entries.size
         limit = PAYLOAD_LIMIT_BYTES[env.profile]
         if size > limit:
             out.append(Violation("oversize", f"serialized size {size} > {limit}"))

@@ -1,6 +1,7 @@
 """Collector: framing, ingest semantics, queries, persistence safety."""
 import dataclasses
 import json
+import os
 import socket
 import sys
 import threading
@@ -19,7 +20,8 @@ from xfermon.collector import (
     SegmentStore,
     encode_frame,
 )
-from xfermon.metrics import encode_envelope
+from xfermon.collector import service as service_module
+from xfermon.metrics import Profile, encode_envelope
 from tests.test_metrics import make_envelope
 
 
@@ -126,6 +128,82 @@ def test_ingest_rejects_non_finite_values(collector):
     assert not collector.store.has("finite", 1) and not collector.store.has("finite", 2)
 
 
+def test_ingest_rejects_frames_outside_the_profile_layout(collector):
+    # A minimal14 frame whose second entry carries a full-only index, one
+    # whose second entry repeats index 0, and one with an unknown profile id.
+    env = make_envelope(transfer_id="layout", t=0)
+    wire = encode_envelope(env)
+    second_index = len(wire) - 13 * 9
+    hostile = []
+    for t, index in ((1, 100), (2, 0)):
+        frame = bytearray(encode_envelope(dataclasses.replace(env, timestamp=t)))
+        frame[second_index] = index
+        hostile.append(bytes(frame))
+    hostile.append(wire[:1] + b"\x05" + wire[2:])
+    good = encode_envelope(dataclasses.replace(env, timestamp=9))
+    send_frames(collector.ingest_address, b"".join(encode_frame(p) for p in hostile + [good]))
+    assert wait_for(lambda: collector.stats().persisted_total == 1)
+    assert collector.stats().reject_total == 3
+    assert collector.store.record_count == 1 and collector.store.has("layout", 9)
+
+
+def _with(env, **values):
+    return dataclasses.replace(env, values={**env.values, **values})
+
+
+@pytest.mark.parametrize(
+    "breaks",
+    [
+        lambda env: _with(env, sender_wan_nic_tx_bytes_per_s=-1.0),
+        lambda env: _with(env, sender_retransmitted_packets=10.0, sender_total_sent_packets=5.0),
+        lambda env: _with(
+            env,
+            transfer_throughput_bytes_per_s=2e9,
+            sender_client_read_bytes_per_s=1e9,
+            receiver_client_write_bytes_per_s=1e9,
+        ),
+        lambda env: dataclasses.replace(env, transfer_id="x" * 65),
+    ],
+    ids=["negative-value", "retransmit-exceeds-sent", "throughput-exceeds-path", "bad-id"],
+)
+def test_ingest_rejects_each_invariant_violation(collector, breaks):
+    good = make_envelope(transfer_id="inv", t=0)
+    bad = breaks(dataclasses.replace(good, timestamp=1))
+    blob = b"".join(encode_frame(encode_envelope(e)) for e in (bad, good))
+    send_frames(collector.ingest_address, blob)
+    assert wait_for(lambda: collector.stats().persisted_total == 1)
+    assert collector.stats().reject_total == 1
+    assert collector.store.record_count == 1 and collector.store.has("inv", 0)
+
+
+def test_reject_total_is_exact_under_contention(collector):
+    # More feeders than cores, each on its own connection, and the
+    # interpreter switching threads as often as it can.
+    feeders = len(os.sched_getaffinity(0)) + 2
+    bad_frames = 300
+    frame = encode_frame(b"\x07not an envelope")
+
+    def feed():
+        with socket.create_connection(collector.ingest_address) as sock:
+            for _ in range(bad_frames // 10):
+                sock.sendall(frame * 10)
+
+    threads = [threading.Thread(target=feed) for _ in range(feeders)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(th.is_alive() for th in threads)
+    assert wait_for(lambda: collector.stats().reject_total == feeders * bad_frames)
+    assert wait_for(lambda: collector.stats().connections == 0)
+    assert collector.stats().reject_total == feeders * bad_frames
+
+
 def test_oversize_frame_resets_connection(collector):
     with socket.create_connection(collector.ingest_address) as sock:
         sock.sendall((MAX_FRAME_BYTES + 5).to_bytes(4, "big"))
@@ -221,6 +299,48 @@ def test_stop_persists_the_whole_write_queue(tmp_path):
     store.close()
 
 
+def test_stop_keeps_or_counts_every_frame_sent_before_it(tmp_path):
+    d = tmp_path / "stop-drain"
+    service = CollectorService(CollectorConfig(data_dir=d))
+    service.start()
+    env = make_envelope(Profile.FULL142, transfer_id="drain")
+    n = 12_000
+    blob = b"".join(
+        encode_frame(encode_envelope(dataclasses.replace(env, timestamp=t))) for t in range(n)
+    )
+    send_frames(service.ingest_address, blob)
+    time.sleep(0.05)
+    service.stop()
+    store = SegmentStore(d)
+    kept = store.record_count
+    store.close()
+    assert kept + service.stats().stop_drop_total == n
+
+
+def test_stop_counts_frames_left_at_the_deadline(tmp_path, monkeypatch):
+    monkeypatch.setattr(service_module, "STOP_DRAIN_S", 0.0)
+    service = CollectorService(CollectorConfig(data_dir=tmp_path / "cut"))
+    service.start()
+    entered = threading.Event()
+    ingest = service._ingest_payloads
+
+    def slow_ingest(payloads):
+        entered.set()
+        time.sleep(0.2)  # stop() begins while the first frame is in here
+        ingest(payloads)
+
+    service._ingest_payloads = slow_ingest
+    frames = [encode_frame(encode_envelope(make_envelope(transfer_id="cut", t=t))) for t in range(11)]
+    with socket.create_connection(service.ingest_address) as sock:
+        sock.sendall(frames[0])
+        assert entered.wait(5.0)
+        # Ten whole frames and a partial one wait in the socket, which stays open.
+        sock.sendall(b"".join(frames[1:]) + frames[0][:10])
+        service.stop()
+    stats = service.stats()
+    assert (stats.persisted_total, stats.stop_drop_total, stats.connections) == (1, 11, 0)
+
+
 # ----------------------------------------------------------------------
 # query
 # ----------------------------------------------------------------------
@@ -262,8 +382,19 @@ def test_query_wire_protocol(collector):
     assert row["values"]["sender_rtt_us"] == pytest.approx(env.values["sender_rtt_us"])
 
     assert query_lines(collector.query_address, "QUERY nobody 0 1")[0].startswith("ERR not-found")
+    assert query_lines(collector.query_address, "QUERY w-1 4 3")[0].startswith("ERR t0 4 is after")
     stats = json.loads(query_lines(collector.query_address, "STATS")[0])
     assert stats["persisted_total"] == 1
+
+
+def test_query_span_is_capped(collector, monkeypatch):
+    monkeypatch.setattr("xfermon.collector.storage.MAX_QUERY_SPAN_S", 10)
+    env = make_envelope(transfer_id="span", t=0)
+    send_frames(collector.ingest_address, encode_frame(encode_envelope(env)))
+    assert wait_for(lambda: collector.stats().persisted_total == 1)
+    assert query_lines(collector.query_address, "QUERY span 0 9")[-1] == "END 10"
+    reply = query_lines(collector.query_address, "QUERY span 0 10")
+    assert reply == ["ERR range of 11 s exceeds 10 s"]
 
 
 def test_query_returns_exactly_published_values(collector):

@@ -1,4 +1,5 @@
 """Catalog and envelope contract tests."""
+import hashlib
 import os
 import random
 import subprocess
@@ -13,9 +14,9 @@ from xfermon.metrics import (
     MetricEnvelope,
     Profile,
     catalog,
+    catalog_names,
     decode_envelope,
     encode_envelope,
-    key_index,
     validate_envelope,
 )
 from xfermon.diagnose.rules import RULE_OPERANDS
@@ -64,7 +65,6 @@ def test_minimal_subset_of_full():
 def test_minimal_keys_lead_the_full_catalog():
     # shared index space: minimal keys are positions 0..13
     assert FULL_NAMES[:14] == MINIMAL_NAMES
-    assert all(key_index(n) == i for i, n in enumerate(MINIMAL_NAMES))
 
 
 def test_every_rule_operand_in_minimal_profile():
@@ -92,6 +92,25 @@ def test_roundtrip_identity():
         env = make_envelope(profile)
         again = decode_envelope(encode_envelope(env))
         assert again == env
+
+
+@pytest.mark.parametrize(
+    "profile, size, sha256",
+    [
+        (Profile.MINIMAL14, 155, "1a9432c3fc74ef09649fafe7016c5c77984821daaff1c026a9ab5c50daa9fc27"),
+        (Profile.FULL142, 1307, "d798ccbcf0c71d3063d3278ea304edb45d21a0dc2c7d36be6687a50a3872279b"),
+    ],
+    ids=["minimal14", "full142"],
+)
+def test_wire_bytes_are_unchanged(profile, size, sha256):
+    # Digests of the bytes that encoding version 1 has always produced.
+    names = catalog_names(profile)
+    env = MetricEnvelope(
+        "golden-xfer-0001", "tb2", 4242, profile, {n: i * 1e6 + 0.5 for i, n in enumerate(names)}
+    )
+    wire = encode_envelope(env)
+    assert (len(wire), hashlib.sha256(wire).hexdigest()) == (size, sha256)
+    assert decode_envelope(wire) == env
 
 
 def test_validate_ok_envelope():
@@ -122,6 +141,15 @@ def test_validate_negative_counter():
     values["sender_wan_nic_tx_bytes_per_s"] = -1.0
     bad = MetricEnvelope(env.transfer_id, env.testbed_id, env.timestamp, env.profile, values)
     assert "negative-value" in {v.code for v in validate_envelope(bad)}
+
+
+def test_validate_accepts_finite_values_whose_sum_overflows():
+    env = make_envelope(Profile.FULL142)
+    values = dict(env.values)
+    values["sender_tcp_send_buf_max_bytes"] = 1.7e308
+    values["receiver_tcp_recv_buf_max_bytes"] = 1.7e308
+    big = MetricEnvelope(env.transfer_id, env.testbed_id, env.timestamp, env.profile, values)
+    assert validate_envelope(big) == []
 
 
 def test_validate_retransmits_exceed_sent():
@@ -172,3 +200,5 @@ def test_decode_rejects_garbage():
         decode_envelope(good[:-3])
     with pytest.raises(EnvelopeDecodeError):
         decode_envelope(good + b"\x00")
+    with pytest.raises(EnvelopeDecodeError):
+        decode_envelope(good[:1] + b"\x02" + good[2:])  # unknown profile id

@@ -12,6 +12,7 @@ from xfermon.collector import CollectorConfig, CollectorService, Record, Segment
 from xfermon.diagnose import RuleConfig, classify, fit_baseline
 from xfermon.metrics import (
     MINIMAL_NAMES,
+    EnvelopeDecodeError,
     MetricEnvelope,
     Profile,
     catalog,
@@ -61,6 +62,30 @@ def envelopes(draw):
 @given(envelopes())
 def test_envelope_roundtrip_is_identity(env):
     assert decode_envelope(encode_envelope(env)) == env
+
+
+@st.composite
+def foreign_layouts(draw, n):
+    """Entry indexes other than 0..n-1 in order: a permutation, or a
+    duplicate of one index in place of another."""
+    canonical = list(range(n))
+    if draw(st.booleans()):
+        return draw(st.permutations(canonical).filter(lambda p: p != canonical))
+    src, dst = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    canonical[dst] = canonical[src]
+    return canonical
+
+
+@settings(max_examples=200, deadline=None)
+@given(envelopes(), st.data())
+def test_decode_rejects_permuted_or_duplicated_indexes(env, data):
+    frame = bytearray(encode_envelope(env))
+    n = len(env.values)
+    entries = len(frame) - 9 * n
+    for i, index in enumerate(data.draw(foreign_layouts(n))):
+        frame[entries + 9 * i] = index
+    with pytest.raises(EnvelopeDecodeError):
+        decode_envelope(bytes(frame))
 
 
 # ----------------------------------------------------------------------
