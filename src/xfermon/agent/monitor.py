@@ -113,6 +113,11 @@ class MonitoringAgent:
         self._known = active
         return sorted(active)
 
+    @property
+    def open_streams(self) -> int:
+        """Transfers the last discovery found, each with an open stream."""
+        return len(self._known)
+
     # ------------------------------------------------------------------
     def _fresh_entry(self, entry, key: str, tick: int):
         if entry is None or entry.age(tick) > MAX_CACHE_AGE_INTERVALS:

@@ -292,7 +292,7 @@ def cmd_pipeline(args) -> int:
             published = agent.tick(runtime.tick)
             stats = agent.stats
             line = (
-                f"t={runtime.tick:4d} active={len(agent.discover_transfers(runtime.tick)):4d} "
+                f"t={runtime.tick:4d} active={agent.open_streams:4d} "
                 f"published={published:4d} queue={publisher.queue_depth:5d} "
                 f"dropped={stats.envelopes_dropped} gaps={stats.gaps}"
             )

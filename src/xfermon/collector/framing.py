@@ -14,7 +14,14 @@ HEADER_BYTES = _LEN.size
 
 
 class FrameError(ValueError):
-    """Structurally invalid frame (oversize or negative length)."""
+    """Structurally invalid frame (oversize or negative length).
+
+    ``frames`` holds the whole payloads that the failing ``feed`` call split
+    off before it reached the bad header."""
+
+    def __init__(self, message: str, frames: list[bytes] | None = None):
+        super().__init__(message)
+        self.frames = frames or []
 
 
 def encode_frame(payload: bytes) -> bytes:
@@ -37,7 +44,7 @@ class FrameDecoder:
                 return out
             (length,) = _LEN.unpack_from(self._buf, 0)
             if length > MAX_FRAME_BYTES:
-                raise FrameError(f"frame length {length} exceeds {MAX_FRAME_BYTES}")
+                raise FrameError(f"frame length {length} exceeds {MAX_FRAME_BYTES}", out)
             if len(self._buf) < HEADER_BYTES + length:
                 return out
             out.append(bytes(self._buf[HEADER_BYTES : HEADER_BYTES + length]))

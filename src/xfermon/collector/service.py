@@ -169,11 +169,17 @@ class CollectorService:
                 except OSError:
                     return
                 if not chunk:
+                    # A frame cut short by the close is lost: count it.
+                    if decoder.pending_bytes:
+                        self._count_reject()
                     return
                 try:
                     payloads = decoder.feed(chunk)
-                except FrameError:
-                    # Oversized frame: reset the connection.
+                except FrameError as err:
+                    # Oversized frame: keep the frames before it, count the
+                    # bad one and reset the connection.
+                    self._ingest_payloads(err.frames)
+                    self._count_reject()
                     return
                 if payloads:
                     self._ingest_payloads(payloads)
@@ -200,6 +206,10 @@ class CollectorService:
         dropped += decoder.pending_bytes > 0
         with self._queue_lock:
             self._stop_drop_total += dropped
+
+    def _count_reject(self) -> None:
+        with self._queue_lock:
+            self._reject_total += 1
 
     def _ingest_payloads(self, payloads: list[bytes]) -> None:
         candidates: list[tuple[tuple[str, int], Record]] = []

@@ -96,10 +96,12 @@ def build_run(
 def run_rows(run: SimRun, label: AnomalyClass) -> list[DatasetRow]:
     """Simulate a run and emit one labeled row per (transfer, second)."""
     engine = Engine(run)
+    sender = run.testbed.host_id("sender")
     rows: list[DatasetRow] = []
     for snapshot in engine.run_all():
+        transfers = snapshot.hosts[sender]["transfers"]
         for job in run.jobs:
-            if job.transfer_id in snapshot.hosts[run.testbed.host_id("sender")]["transfers"]:
+            if job.transfer_id in transfers:
                 rows.append(
                     DatasetRow(
                         testbed_id=run.testbed.id,

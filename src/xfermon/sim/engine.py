@@ -220,10 +220,24 @@ class Engine:
 
     def __init__(self, run: SimRun):
         self.run = run
-        self.tb = run.testbed
+        self.tb = tb = run.testbed
         self._next_t = 0
         self._remaining = {j.transfer_id: float(j.total_bytes) for j in run.jobs}
-        self._jobs = {j.transfer_id: j for j in run.jobs}
+        # Shared resources: per-OST disk channels, per-side Lustre NICs, WAN.
+        self._capacity_of = {
+            "sender_ost": tb.per_ost_disk_read_bytes_per_s,
+            "receiver_ost": tb.per_ost_disk_write_bytes_per_s,
+            "sender_lnet": tb.lnet_nic_bytes_per_s,
+            "receiver_lnet": tb.lnet_nic_bytes_per_s,
+            "wan": tb.wan_bandwidth_bytes_per_s,
+        }
+        self._host_ids = {side: tb.host_id(side) for side in ("sender", "receiver")}
+        self._oss_ids = {side: tb.oss_id(side) for side in ("sender", "receiver")}
+        # The last allocation and the state it was made for. Time reaches the
+        # allocation only through which anomalies, competitor loads and jobs
+        # are active (the anomaly anchor, jobs[0], is fixed per run), so
+        # while those stay the same the allocation does too.
+        self._alloc_key = self._alloc = None
 
     # ------------------------------------------------------------------
     # anomaly state for one tick
@@ -300,15 +314,49 @@ class Engine:
             raise ValueError(f"t={t} outside run duration {self.run.duration_s}")
         self._next_t += 1
 
-        tb = self.tb
         rng = _tick_rng(self.run.seed, t)
-        eff = self._active_effects(t)
-
         active = [
             j
             for j in self.run.jobs
             if j.start_s <= t and self._remaining[j.transfer_id] > 0.0
         ]
+        key = (
+            tuple(spec.active_at(t) for spec in self.run.anomalies),
+            tuple(load.active_at(t) for load in self.run.competitors),
+            tuple(j.transfer_id for j in active),
+        )
+        if key != self._alloc_key:
+            self._alloc_key, self._alloc = key, self._allocate(t, active)
+        loss_p, competitors, rates, conn = self._alloc
+
+        # Per-second efficiency jitter, one-sided so capacity holds; a
+        # transfer's final second drains exactly the bytes it has left.
+        final_rates: dict[str, float] = {}
+        for j in active:
+            eta = max(RATE_NOISE_FLOOR, 1.0 - abs(rng.gauss(0.0, RATE_NOISE_SIGMA)))
+            final_rates[j.transfer_id] = min(
+                rates[j.transfer_id] * eta, self._remaining[j.transfer_id]
+            )
+        comp_fill = []
+        for i, (kind, index, _) in enumerate(competitors):
+            eta = max(RATE_NOISE_FLOOR, 1.0 - abs(rng.gauss(0.0, RATE_NOISE_SIGMA)))
+            comp_fill.append((kind, index, rates[("competitor", i)] * eta))
+
+        snapshot = self._build_snapshot(t, rng, loss_p, active, final_rates, comp_fill, dict(conn))
+
+        for tid, rate in final_rates.items():
+            self._remaining[tid] = max(0.0, self._remaining[tid] - rate)
+        return snapshot
+
+    def _allocate(
+        self, t: int, active: list[TransferJob]
+    ) -> tuple[float, list[tuple[str, int, float]], dict[Hashable, float], dict]:
+        """Max-min rates before noise for the anomaly state at ``t`` and the
+        ``active`` jobs: ``(loss_p, competitors, rates, conn)``, where
+        ``rates`` is keyed by transfer id and by ``("competitor", i)`` for
+        ``competitors[i]``, and ``conn`` holds the connection constants."""
+        tb = self.tb
+        eff = self._active_effects(t)
 
         # Effective RTT: congestion inflates it by a queueing factor, jitter
         # widens it by two standard deviations.
@@ -342,15 +390,8 @@ class Engine:
             )
         demand *= stall_factor
 
-        # Shared resources: per-OST disk channels, per-side Lustre NICs, WAN.
-        # A transfer crosses five of them; a competitor or congestion flow one.
-        capacity_of = {
-            "sender_ost": tb.per_ost_disk_read_bytes_per_s,
-            "receiver_ost": tb.per_ost_disk_write_bytes_per_s,
-            "sender_lnet": tb.lnet_nic_bytes_per_s,
-            "receiver_lnet": tb.lnet_nic_bytes_per_s,
-            "wan": tb.wan_bandwidth_bytes_per_s,
-        }
+        # A transfer crosses five shared resources; a competitor or
+        # congestion flow one.
         congestion = [("wan", 0, tb.wan_bandwidth_bytes_per_s)] * eff["congestion_flows"]
         competitors = eff["competitors"] + congestion
         flows = [
@@ -373,22 +414,7 @@ class Engine:
             for i, (kind, index, load) in enumerate(competitors)
         ]
         used = {key for _, _, keys in flows for key in keys}
-        capacity = {key: capacity_of[key[0]] for key in used}
-        rates = max_min_rates(capacity, flows)
-
-        # Per-second efficiency jitter, one-sided so capacity holds; a
-        # transfer's final second drains exactly the bytes it has left.
-        final_rates: dict[str, float] = {}
-        for j in active:
-            eta = max(RATE_NOISE_FLOOR, 1.0 - abs(rng.gauss(0.0, RATE_NOISE_SIGMA)))
-            final_rates[j.transfer_id] = min(
-                rates[j.transfer_id] * eta, self._remaining[j.transfer_id]
-            )
-        comp_fill = []
-        for i, (kind, index, _) in enumerate(competitors):
-            eta = max(RATE_NOISE_FLOOR, 1.0 - abs(rng.gauss(0.0, RATE_NOISE_SIGMA)))
-            comp_fill.append((kind, index, rates[("competitor", i)] * eta))
-
+        capacity = {key: self._capacity_of[key[0]] for key in used}
         conn = {
             "rtt_eff_us": rtt_eff,
             "jitter_std_us": eff["jitter_std_us"],
@@ -398,11 +424,7 @@ class Engine:
             "parallel_streams": tb.parallel_streams,
             "unimpaired_rate": tb.unimpaired_rate,
         }
-        snapshot = self._build_snapshot(t, rng, eff["loss_p"], active, final_rates, comp_fill, conn)
-
-        for tid, rate in final_rates.items():
-            self._remaining[tid] = max(0.0, self._remaining[tid] - rate)
-        return snapshot
+        return eff["loss_p"], competitors, max_min_rates(capacity, flows), conn
 
     # ------------------------------------------------------------------
     # counter derivation
@@ -453,6 +475,12 @@ class Engine:
 
         rtt_eff = conn["rtt_eff_us"]
         jitter_std = conn["jitter_std_us"]
+        # Host counters that do not depend on the side.
+        n_active = len(active)
+        mem_used = 4.0 * (1 << 30) + 20.0 * (1 << 20) * n_active
+        load_avg = 0.5 + 0.05 * n_active
+        getattr_per_s = 2.0 * files_per_s + n_active
+        mdc_pending = 1.0 + 0.1 * n_active
 
         def tcp_samples() -> dict[str, tuple[float, float]]:
             """(rtt_us, retransmitted) per transfer, drawn in transfer order."""
@@ -504,18 +532,18 @@ class Engine:
                 "cpu_system_pct": min(90.0, system),
                 "cpu_iowait_pct": min(90.0, iowait),
                 "cpu_idle_pct": max(0.0, 100.0 - user - system - iowait),
-                "mem_used_bytes": 4.0 * (1 << 30) + 20.0 * (1 << 20) * len(active),
+                "mem_used_bytes": mem_used,
                 "mem_cached_bytes": 2.0 * (1 << 30),
                 "mem_free_bytes": 122.0 * (1 << 30),
-                "load_avg_1m": 0.5 + 0.05 * len(active),
+                "load_avg_1m": load_avg,
             }
             mdc = {
                 "open_per_s": files_per_s,
                 "close_per_s": files_per_s,
-                "getattr_per_s": 2.0 * files_per_s + len(active),
+                "getattr_per_s": getattr_per_s,
                 "setattr_per_s": files_per_s if side == "receiver" else 0.0,
                 "statfs_per_s": 0.2,
-                "pending_requests": 1.0 + 0.1 * len(active),
+                "pending_requests": mdc_pending,
             }
             osc_read = nic_in if side == "sender" else 0.01 * lnet_tx_total
             osc_write = 0.01 * lnet_rx_total if side == "sender" else nic_out
@@ -529,7 +557,7 @@ class Engine:
                 "cached_bytes": 0.2 * (osc_read + osc_write),
             }
             return {
-                "host_id": tb.host_id(side),
+                "host_id": self._host_ids[side],
                 "side": side,
                 "t": t,
                 "mss_bytes": tb.mss_bytes,
@@ -559,16 +587,11 @@ class Engine:
                     "write_iops": write_bps / AVG_IO_BYTES,
                     "pending": 32.0 * util,
                 }
-            return {"oss_id": tb.oss_id(side), "side": side, "t": t, "ost": per_ost}
+            return {"oss_id": self._oss_ids[side], "side": side, "t": t, "ost": per_ost}
 
-        hosts = {
-            tb.host_id("sender"): host_counters("sender"),
-            tb.host_id("receiver"): host_counters("receiver"),
-        }
-        osses = {
-            tb.oss_id("sender"): oss_counters("sender"),
-            tb.oss_id("receiver"): oss_counters("receiver"),
-        }
+        # The sender's TCP samples are drawn before the receiver's.
+        hosts = {self._host_ids[side]: host_counters(side) for side in ("sender", "receiver")}
+        osses = {self._oss_ids[side]: oss_counters(side) for side in ("sender", "receiver")}
         return Snapshot(
             t=t,
             testbed_id=tb.id,

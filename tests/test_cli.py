@@ -199,9 +199,7 @@ def test_pipeline_ramp_staircase(tmp_path, capsys):
         "--out-dir", str(tmp_path / "ramp"),
     )
     assert rc == EXIT_OK
-    published = [
-        int(line.split("published=")[1].split()[0])
-        for line in capsys.readouterr().out.splitlines()
-        if "published=" in line
-    ]
-    assert published == [5, 5, 10, 10, 15, 15]
+    lines = [line for line in capsys.readouterr().out.splitlines() if "published=" in line]
+    for column in ("active=", "published="):
+        counts = [int(line.split(column)[1].split()[0]) for line in lines]
+        assert counts == [5, 5, 10, 10, 15, 15], column

@@ -81,6 +81,11 @@ def test_frame_oversize_rejected_on_encode_and_decode():
     decoder = FrameDecoder()
     with pytest.raises(FrameError):
         decoder.feed((MAX_FRAME_BYTES + 1).to_bytes(4, "big") + b"xx")
+    # The frames split off before the bad header travel with the error.
+    good = encode_frame(b"alpha") + encode_frame(b"beta")
+    with pytest.raises(FrameError) as err:
+        FrameDecoder().feed(good + (MAX_FRAME_BYTES + 1).to_bytes(4, "big") + good)
+    assert err.value.frames == [b"alpha", b"beta"]
 
 
 # ----------------------------------------------------------------------
@@ -93,6 +98,26 @@ def test_ingest_persists_each_valid_envelope_once(collector):
     send_frames(collector.ingest_address, blob)
     assert wait_for(lambda: collector.stats().persisted_total == 20)
     assert collector.stats().reject_total == 0
+
+
+def test_ingest_keeps_frames_before_an_oversize_header(collector):
+    frames = [
+        encode_frame(encode_envelope(make_envelope(transfer_id="big-1", t=t))) for t in range(20)
+    ]
+    oversize = (MAX_FRAME_BYTES + 1).to_bytes(4, "big")
+    send_frames(collector.ingest_address, b"".join(frames[:5]) + oversize + b"".join(frames[5:]))
+    assert wait_for(lambda: collector.stats().reject_total == 1)
+    assert wait_for(lambda: collector.stats().persisted_total == 5)
+    assert collector.stats().reject_total == 1
+
+
+def test_ingest_counts_a_frame_cut_short_by_close(collector):
+    frame = encode_frame(encode_envelope(make_envelope(transfer_id="cut-1", t=0)))
+    send_frames(collector.ingest_address, frame[:50])
+    assert wait_for(lambda: collector.stats().reject_total == 1)
+    assert wait_for(lambda: collector.stats().connections == 0)
+    stats = collector.stats()
+    assert (stats.persisted_total, stats.reject_total) == (0, 1)
 
 
 def test_ingest_rejects_duplicate_transfer_second(collector):

@@ -1,7 +1,9 @@
 """Simulator contracts: rate models, injection semantics, dataset generation."""
+import hashlib
 import random
 import re
 import statistics
+import struct
 
 import pytest
 
@@ -12,6 +14,7 @@ from xfermon.sim import (
     SWEEP_MENUS,
     AnomalyClass,
     AnomalySpec,
+    CompetitorLoad,
     Engine,
     SimRun,
     TransferJob,
@@ -422,3 +425,65 @@ def test_transfer_completion_frees_the_stream():
     assert active_per_t[0] == 1
     assert active_per_t[-1] == 0
     assert sum(active_per_t) <= 4
+
+
+# ----------------------------------------------------------------------
+# golden output: digests of bytes the engine has always produced
+# ----------------------------------------------------------------------
+
+def test_gen_bytes_are_unchanged():
+    rows, _ = generate_dataset(builtin_testbeds().values(), runs_per_class=1, seed=2718)
+    ndjson = b"".join(row.to_json() for row in rows)
+    assert (len(rows), hashlib.sha256(ndjson).hexdigest()) == (
+        8 * 9 * 60,
+        "072a2777a1fe130742a1ffd67bed09bfc62f91106ee6afc5602ce416b92e47ca",
+    )
+
+
+def test_multi_transfer_snapshots_are_unchanged():
+    # Staggered starts, transfers that complete mid-run, an anomaly window and
+    # a competitor load that each open and close mid-run: every input that
+    # changes the allocation changes it at least twice.
+    tb = get_testbed("tb2")
+    jobs = tuple(
+        TransferJob(
+            f"g{i:02d}",
+            file_count=1 + i % 3,
+            file_size_bytes=(1 << 28) if i % 2 else (1 << 34),
+            source_ost_index=i % 3,
+            dest_ost_index=(i // 3) % 3,
+            start_s=(i % 4) * 3,
+        )
+        for i in range(12)
+    )
+    run = SimRun(
+        testbed=tb,
+        jobs=jobs,
+        anomalies=(
+            AnomalySpec(AnomalyClass.SENDER_OST_READ_CONGESTION, 2, 5, 20, intensity=0.5),
+            AnomalySpec(AnomalyClass.NETWORK_LOSS, 1e-4, 14, 26),
+        ),
+        competitors=(CompetitorLoad("receiver_lnet", 0, 1.5e8, 10, 30),),
+        seed=31337,
+        duration_s=40,
+    )
+    digest = hashlib.sha256()
+    pack = struct.Struct(f"<{len(FULL_NAMES)}d").pack
+    rows = 0
+    conns = []
+    hosts = (tb.host_id("sender"), tb.host_id("receiver"))
+    osses = (tb.oss_id("sender"), tb.oss_id("receiver"))
+    for snap in Engine(run).run_all():
+        layers = [snap.hosts[h] for h in hosts] + [snap.osses[o] for o in osses]
+        conns.append(layers[0]["conn"])
+        for tid in layers[0]["active_transfers"]:
+            v = assemble_values(FULL_NAMES, tid, *layers)
+            digest.update(f"{snap.t} {tid} ".encode())
+            digest.update(pack(*(v[name] for name in FULL_NAMES)))
+            rows += 1
+    # No two ticks share a mutable connection record.
+    assert len({id(conn) for conn in conns}) == run.duration_s
+    assert (rows, digest.hexdigest()) == (
+        304,
+        "fbc05862498052308404f3d07ce5ac14af00c6cb7ab7b00c3da6219b172c229e",
+    )
