@@ -1,9 +1,8 @@
 """Monitoring plane: caches, agents, and publishers."""
 from .caches import (
+    CacheEntry,
     CacheRefresher,
     CacheService,
-    HostCacheEntry,
-    OssCacheEntry,
     StaleCacheError,
 )
 from .monitor import (
@@ -24,10 +23,9 @@ from .publisher import (
 from .runtime import SimulationRuntime
 
 __all__ = [
+    "CacheEntry",
     "CacheRefresher",
     "CacheService",
-    "HostCacheEntry",
-    "OssCacheEntry",
     "StaleCacheError",
     "MAX_CACHE_AGE_INTERVALS",
     "AgentConfig",

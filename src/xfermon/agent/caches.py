@@ -14,20 +14,10 @@ from typing import Callable
 
 
 @dataclass(frozen=True)
-class HostCacheEntry:
-    host_id: str
-    snapshot: dict
+class CacheEntry:
+    key: str         # host or OSS id
+    data: dict       # host snapshot or OST counters
     fetched_at: int  # tick the data describes
-
-    def age(self, now_tick: int) -> int:
-        return now_tick - self.fetched_at
-
-
-@dataclass(frozen=True)
-class OssCacheEntry:
-    oss_id: str
-    ost_counters: dict
-    fetched_at: int
 
     def age(self, now_tick: int) -> int:
         return now_tick - self.fetched_at
@@ -38,34 +28,23 @@ class StaleCacheError(RuntimeError):
 
 
 class CacheService:
-    """Thread-safe store of the latest host and OSS snapshots."""
+    """Thread-safe store of the latest snapshot per host or OSS id."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._hosts: dict[str, HostCacheEntry] = {}
-        self._osses: dict[str, OssCacheEntry] = {}
+        self._entries: dict[str, CacheEntry] = {}
 
-    def put_host(self, entry: HostCacheEntry) -> None:
+    def put(self, entry: CacheEntry) -> None:
         with self._lock:
-            self._hosts[entry.host_id] = entry
+            self._entries[entry.key] = entry
 
-    def put_oss(self, entry: OssCacheEntry) -> None:
+    def get(self, key: str) -> CacheEntry | None:
         with self._lock:
-            self._osses[entry.oss_id] = entry
-
-    def host(self, host_id: str) -> HostCacheEntry | None:
-        with self._lock:
-            return self._hosts.get(host_id)
-
-    def oss(self, oss_id: str) -> OssCacheEntry | None:
-        with self._lock:
-            return self._osses.get(oss_id)
+            return self._entries.get(key)
 
     def ages(self, now_tick: int) -> dict[str, int]:
         with self._lock:
-            out = {hid: e.age(now_tick) for hid, e in self._hosts.items()}
-            out.update({oid: e.age(now_tick) for oid, e in self._osses.items()})
-        return out
+            return {key: e.age(now_tick) for key, e in self._entries.items()}
 
 
 @dataclass
@@ -90,22 +69,16 @@ class CacheRefresher:
     def refresh(self, tick: int) -> None:
         if self.paused:
             return
-        for host_id in self.host_ids:
+        sources = [(h, self.fetch_host) for h in self.host_ids]
+        sources += [(o, self.fetch_oss) for o in self.oss_ids]
+        for key, fetch in sources:
             try:
-                snapshot = self.fetch_host(host_id)
+                data = fetch(key)
             except Exception:
                 self.failures += 1
                 continue
             self.upstream_fetches += 1
-            self.cache.put_host(HostCacheEntry(host_id, snapshot, tick))
-        for oss_id in self.oss_ids:
-            try:
-                counters = self.fetch_oss(oss_id)
-            except Exception:
-                self.failures += 1
-                continue
-            self.upstream_fetches += 1
-            self.cache.put_oss(OssCacheEntry(oss_id, counters, tick))
+            self.cache.put(CacheEntry(key, data, tick))
 
     def pause(self) -> None:
         self.paused = True

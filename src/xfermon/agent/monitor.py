@@ -8,10 +8,8 @@ a stale entry turns the tick into a gap rather than into old data.
 """
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from ..metrics.catalog import Profile, catalog_names
 from ..metrics.envelope import MetricEnvelope
@@ -29,25 +27,11 @@ MAX_CACHE_AGE_INTERVALS = 2
 class AgentConfig:
     interval_s: float = DEFAULT_INTERVAL_S
     profile: Profile = Profile.MINIMAL14
-    collector_address: tuple[str, int] | None = None
-    queue_capacity: int = 10_000
     use_caches: bool = True
 
     def __post_init__(self) -> None:
         if self.interval_s < MIN_INTERVAL_S:
             raise ValueError(f"interval_s below the {MIN_INTERVAL_S}s floor")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "AgentConfig":
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        addr = obj.get("collector_address")
-        return cls(
-            interval_s=float(obj.get("interval_s", DEFAULT_INTERVAL_S)),
-            profile=Profile(obj.get("profile", Profile.MINIMAL14.value)),
-            collector_address=(addr[0], int(addr[1])) if addr else None,
-            queue_capacity=int(obj.get("queue_capacity", 10_000)),
-            use_caches=bool(obj.get("use_caches", True)),
-        )
 
 
 @dataclass
@@ -102,10 +86,10 @@ class MonitoringAgent:
         Newly seen ids open envelope streams; ids gone quiet close them.
         Discovery reads the host cache, not the simulator.
         """
-        entry = self.cache.host(self._sender_host)
+        entry = self.cache.get(self._sender_host)
         if entry is None or entry.age(tick) > MAX_CACHE_AGE_INTERVALS:
             return sorted(self._known)  # stale view; collection will gap out
-        active = set(entry.snapshot["active_transfers"])
+        active = set(entry.data["active_transfers"])
         appeared = active - self._known
         vanished = self._known - active
         self.stats.discovered_new += len(appeared)
@@ -119,19 +103,20 @@ class MonitoringAgent:
         return len(self._known)
 
     # ------------------------------------------------------------------
-    def _fresh_entry(self, entry, key: str, tick: int):
+    def _fresh_data(self, key: str, tick: int) -> dict:
+        entry = self.cache.get(key)
         if entry is None or entry.age(tick) > MAX_CACHE_AGE_INTERVALS:
             age = "missing" if entry is None else f"age {entry.age(tick)}"
             raise StaleCacheError(f"{key}: {age}")
-        return entry
+        return entry.data
 
     def _layer_snapshots(self, tick: int) -> tuple[dict, dict, dict, dict]:
         if self.config.use_caches:
             return (
-                self._fresh_entry(self.cache.host(self._sender_host), self._sender_host, tick).snapshot,
-                self._fresh_entry(self.cache.host(self._receiver_host), self._receiver_host, tick).snapshot,
-                self._fresh_entry(self.cache.oss(self._sender_oss), self._sender_oss, tick).ost_counters,
-                self._fresh_entry(self.cache.oss(self._receiver_oss), self._receiver_oss, tick).ost_counters,
+                self._fresh_data(self._sender_host, tick),
+                self._fresh_data(self._receiver_host, tick),
+                self._fresh_data(self._sender_oss, tick),
+                self._fresh_data(self._receiver_oss, tick),
             )
         # Cache-bypassing path: four remote fetches, each paying the emulated
         # command-execution cost.

@@ -100,11 +100,10 @@ class Publisher:
         self,
         transport=None,
         queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
-        synchronous: bool = False,
     ):
         self.transport = transport if transport is not None else SinkTransport()
         self.queue_capacity = queue_capacity
-        self.synchronous = synchronous or isinstance(self.transport, SinkTransport)
+        self.synchronous = isinstance(self.transport, SinkTransport)
         self.stats = PublisherStats()
         self._queue: deque[bytes] = deque()
         self._lock = threading.Lock()

@@ -366,7 +366,7 @@ def cmd_diagnose(args) -> int:
     if args.transfer_matrix:
         return _diagnose_transfer_matrix(args, rows, started)
 
-    config = RuleConfig.load(args.rules) if args.rules else RuleConfig.load()
+    config = RuleConfig.load(args.rules)
     out = Path(args.out)
     by_run = _group_runs(rows)
     testbed_ids = sorted({tb for tb, _ in by_run})

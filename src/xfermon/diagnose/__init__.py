@@ -1,7 +1,6 @@
 """Root-cause diagnosis: baselines, rule engine, normalization, scoring."""
 from .baseline import (
     RATE_METRICS,
-    RECOMMENDED_MIN_RUNS,
     BaselineProfile,
     fit_baseline,
     fit_baseline_from_dataset,
@@ -17,13 +16,12 @@ from .centroid import (
 from .normalize import normalize_row, normalize_rows, unit_baseline
 from .rules import (
     DEFAULT_RULE_CONFIG,
-    RULE_LABELS,
     RULE_OPERANDS,
+    RULES,
     Diagnosis,
     MissingMetricError,
     RuleConfig,
     RuleId,
-    aggregate_window,
     classify,
     classify_run_windows,
 )
@@ -31,7 +29,6 @@ from .scoring import LABEL_SPACE, ClassScore, ScoreReport, score
 
 __all__ = [
     "RATE_METRICS",
-    "RECOMMENDED_MIN_RUNS",
     "BaselineProfile",
     "fit_baseline",
     "fit_baseline_from_dataset",
@@ -45,13 +42,12 @@ __all__ = [
     "normalize_rows",
     "unit_baseline",
     "DEFAULT_RULE_CONFIG",
-    "RULE_LABELS",
     "RULE_OPERANDS",
+    "RULES",
     "Diagnosis",
     "MissingMetricError",
     "RuleConfig",
     "RuleId",
-    "aggregate_window",
     "classify",
     "classify_run_windows",
     "LABEL_SPACE",

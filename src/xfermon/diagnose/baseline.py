@@ -20,7 +20,6 @@ from ..metrics.catalog import MINIMAL_NAMES
 RATE_METRICS: tuple[str, ...] = tuple(
     n for n in MINIMAL_NAMES if n.endswith("_bytes_per_s")
 )
-RECOMMENDED_MIN_RUNS = 5
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,7 @@ class CentroidModel:
 def centroid_fit(
     rows: list[dict[str, float]], labels: list[str], normalized: bool = True
 ) -> CentroidModel:
-    """Per-class mean vectors; every class present must have at least one row."""
+    """Per-class mean vectors over the classes present in ``labels``."""
     if len(rows) != len(labels):
         raise ValueError("rows and labels must have equal length")
     if not rows:
@@ -65,9 +65,6 @@ def centroid_fit(
     for row, label in zip(rows, labels):
         by_class.setdefault(label, []).append(feature_vector(row, normalized))
     classes = tuple(sorted(by_class, key=lambda c: _CLASS_ORDER.get(c, len(_CLASS_ORDER))))
-    for cls, vecs in by_class.items():
-        if not vecs:
-            raise ValueError(f"class {cls} has no rows")
     centroids = np.stack([np.mean(np.stack(by_class[c]), axis=0) for c in classes])
     return CentroidModel(classes=classes, centroids=centroids, normalized=normalized)
 

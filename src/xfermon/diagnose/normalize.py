@@ -60,12 +60,10 @@ def unit_baseline(raw: BaselineProfile) -> BaselineProfile:
     disk ceilings keep their ratio to the corresponding mean, so the rule
     engine reaches identical verdicts on normalized rows.
     """
-    from ..metrics.catalog import MINIMAL_NAMES as _NAMES
-
     return BaselineProfile(
         testbed_id=raw.testbed_id,
-        means={name: 1.0 for name in _NAMES},
-        stds={name: 0.0 for name in _NAMES},
+        means={name: 1.0 for name in MINIMAL_NAMES},
+        stds={name: 0.0 for name in MINIMAL_NAMES},
         normal_rtt_us=1.0,
         normal_throughput=1.0,
         disk_read_max=raw.disk_read_max / raw.mean("sender_ost_read_bytes_per_s"),

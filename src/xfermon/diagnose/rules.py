@@ -1,9 +1,9 @@
 """Rule engine for bottleneck root-cause classification.
 
-Rules run in a fixed precedence order over window-aggregated metric means:
-configuration faults (TCP buffer below BDP) first, then loss, network
-congestion, and the four I/O contention patterns; if nothing fires the
-window is normal. Every threshold is a ratio against the baseline, so
+Rules are rows of one ordered table, ``RULES``, evaluated over window means of
+the rule operands: configuration faults (TCP buffer below BDP) first, then
+loss, network congestion, and the four I/O contention patterns; if nothing
+fires the window is normal. Every threshold is a ratio against the baseline, so
 classifying raw rows against a raw baseline and normalized rows against a
 unit baseline gives the same label.
 
@@ -18,9 +18,10 @@ import enum
 import json
 import os
 from dataclasses import dataclass
+from math import fsum
+from operator import ge, gt, lt
 from pathlib import Path
-from statistics import fmean
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ..sim.anomaly import AnomalyClass
 from .baseline import BaselineProfile
@@ -75,18 +76,6 @@ class RuleId(enum.Enum):
     NORMAL_FALLBACK = "normal-fallback"
 
 
-RULE_LABELS: dict[RuleId, AnomalyClass] = {
-    RuleId.SENDER_TCP_BUFFER: AnomalyClass.SENDER_TCP_BUFFER_MISCONFIG,
-    RuleId.RECEIVER_TCP_BUFFER: AnomalyClass.RECEIVER_TCP_BUFFER_MISCONFIG,
-    RuleId.NETWORK_LOSS: AnomalyClass.NETWORK_LOSS,
-    RuleId.NETWORK_CONGESTION: AnomalyClass.NETWORK_CONGESTION,
-    RuleId.SENDER_OST_READ: AnomalyClass.SENDER_OST_READ_CONGESTION,
-    RuleId.RECEIVER_OST_WRITE: AnomalyClass.RECEIVER_OST_WRITE_CONGESTION,
-    RuleId.SENDER_CLIENT_READ: AnomalyClass.SENDER_CLIENT_READ_CONGESTION,
-    RuleId.RECEIVER_CLIENT_WRITE: AnomalyClass.RECEIVER_CLIENT_WRITE_CONGESTION,
-    RuleId.NORMAL_FALLBACK: AnomalyClass.NORMAL,
-}
-
 # Metrics every rule may touch; all live in the minimal profile.
 RULE_OPERANDS: tuple[str, ...] = (
     "sender_tcp_send_buf_max_bytes",
@@ -110,7 +99,7 @@ class Diagnosis:
     window_end: int
     label: AnomalyClass
     fired_rule: RuleId
-    evidence: dict[str, tuple[float, float]]  # operand -> (observed, threshold)
+    evidence: dict[str, tuple[float, float]]  # clause quantity -> (observed, threshold)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -129,12 +118,59 @@ class MissingMetricError(KeyError):
     """A rule operand is absent from the window rows."""
 
 
-def aggregate_window(rows: Sequence[dict[str, float]]) -> dict[str, float]:
-    """Mean of every metric over the window rows."""
-    if not rows:
-        raise ValueError("cannot aggregate an empty window")
-    names = rows[0].keys()
-    return {name: fmean(row[name] for row in rows) for name in names}
+# A clause holds when comparison(m[quantity], threshold(m, baseline, config)).
+Threshold = Callable[[dict[str, float], BaselineProfile, RuleConfig], float]
+Clause = tuple[str, Callable[[float, float], bool], Threshold]
+
+# (rule, label, clauses) in precedence order; a rule fires when all of its
+# clauses hold. ``retransmit_ratio`` is the only quantity that is not a mean
+# of one operand.
+RULES: tuple[tuple[RuleId, AnomalyClass, tuple[Clause, ...]], ...] = (
+    # Sender TCP buffer far below the path's bandwidth-delay product.
+    (RuleId.SENDER_TCP_BUFFER, AnomalyClass.SENDER_TCP_BUFFER_MISCONFIG, (
+        ("sender_tcp_send_buf_max_bytes", lt, lambda m, b, c: c.kappa_buf * b.bdp_bytes),
+    )),
+    # Receiver TCP buffer far below BDP.
+    (RuleId.RECEIVER_TCP_BUFFER, AnomalyClass.RECEIVER_TCP_BUFFER_MISCONFIG, (
+        ("receiver_tcp_recv_buf_max_bytes", lt, lambda m, b, c: c.kappa_buf * b.bdp_bytes),
+    )),
+    # Retransmission ratio above the loss floor.
+    (RuleId.NETWORK_LOSS, AnomalyClass.NETWORK_LOSS, (
+        ("retransmit_ratio", gt, lambda m, b, c: c.loss_ratio_threshold),
+    )),
+    # Inflated RTT plus a clearly reduced write rate.
+    (RuleId.NETWORK_CONGESTION, AnomalyClass.NETWORK_CONGESTION, (
+        ("sender_rtt_us", gt, lambda m, b, c: c.rtt_factor * b.normal_rtt_us),
+        ("receiver_client_write_bytes_per_s", lt,
+         lambda m, b, c: c.kappa_low * b.mean("receiver_client_write_bytes_per_s")),
+    )),
+    # Source OST saturated while the transfer's client reads only part of it.
+    (RuleId.SENDER_OST_READ, AnomalyClass.SENDER_OST_READ_CONGESTION, (
+        ("sender_ost_read_bytes_per_s", ge, lambda m, b, c: c.kappa_near * b.disk_read_max),
+        ("sender_client_read_bytes_per_s", lt,
+         lambda m, b, c: c.kappa_gap * m["sender_ost_read_bytes_per_s"]),
+    )),
+    # Destination OST saturated while the transfer writes only part of it.
+    (RuleId.RECEIVER_OST_WRITE, AnomalyClass.RECEIVER_OST_WRITE_CONGESTION, (
+        ("receiver_ost_write_bytes_per_s", ge, lambda m, b, c: c.kappa_near * b.disk_write_max),
+        ("receiver_client_write_bytes_per_s", lt,
+         lambda m, b, c: c.kappa_gap * m["receiver_ost_write_bytes_per_s"]),
+    )),
+    # Sender client starved while its Lustre NIC moves more than normal.
+    (RuleId.SENDER_CLIENT_READ, AnomalyClass.SENDER_CLIENT_READ_CONGESTION, (
+        ("sender_client_read_bytes_per_s", lt,
+         lambda m, b, c: c.kappa_low * b.mean("sender_client_read_bytes_per_s")),
+        ("sender_lnet_nic_rx_bytes_per_s", gt,
+         lambda m, b, c: c.kappa_high * b.mean("sender_lnet_nic_rx_bytes_per_s")),
+    )),
+    # Receiver client starved while its Lustre NIC moves more than normal.
+    (RuleId.RECEIVER_CLIENT_WRITE, AnomalyClass.RECEIVER_CLIENT_WRITE_CONGESTION, (
+        ("receiver_client_write_bytes_per_s", lt,
+         lambda m, b, c: c.kappa_low * b.mean("receiver_client_write_bytes_per_s")),
+        ("receiver_lnet_nic_tx_bytes_per_s", gt,
+         lambda m, b, c: c.kappa_high * b.mean("receiver_lnet_nic_tx_bytes_per_s")),
+    )),
+)
 
 
 def classify(
@@ -146,9 +182,9 @@ def classify(
 ) -> Diagnosis:
     """Label one window of per-second minimal metric rows.
 
-    Evaluates the rules in precedence order on window means and returns the
-    first that fires, with the observed-vs-threshold pair for every operand
-    the rule inspected.
+    Evaluates ``RULES`` in precedence order on window means and returns the
+    first that fires, with the observed-vs-threshold pair for every clause
+    of that rule.
     """
     if len(rows) < config.window_s:
         raise ValueError(
@@ -158,112 +194,26 @@ def classify(
         if name not in rows[0]:
             raise MissingMetricError(name)
 
-    m = aggregate_window(rows)
     window_end = window_start + len(rows)
-
-    def diag(rule: RuleId, evidence: dict[str, tuple[float, float]]) -> Diagnosis:
-        return Diagnosis(
-            transfer_id=transfer_id,
-            window_start=window_start,
-            window_end=window_end,
-            label=RULE_LABELS[rule],
-            fired_rule=rule,
-            evidence=evidence,
-        )
-
-    bdp = baseline.bdp_bytes
-    buf_threshold = config.kappa_buf * bdp
-
-    # Sender TCP buffer far below the path's bandwidth-delay product.
-    send_buf = m["sender_tcp_send_buf_max_bytes"]
-    if send_buf < buf_threshold:
-        return diag(
-            RuleId.SENDER_TCP_BUFFER,
-            {"sender_tcp_send_buf_max_bytes": (send_buf, buf_threshold)},
-        )
-
-    # Receiver TCP buffer far below BDP.
-    recv_buf = m["receiver_tcp_recv_buf_max_bytes"]
-    if recv_buf < buf_threshold:
-        return diag(
-            RuleId.RECEIVER_TCP_BUFFER,
-            {"receiver_tcp_recv_buf_max_bytes": (recv_buf, buf_threshold)},
-        )
-
-    # Retransmission ratio above the loss floor.
+    # Exact summation: rules compare means against thresholds and the evidence
+    # carries them bit for bit, so a faster sum that rounds differently could
+    # flip a label that sits on a threshold.
+    m = {name: fsum([row[name] for row in rows]) / len(rows) for name in RULE_OPERANDS}
     total_sent = m["sender_total_sent_packets"]
-    retx_ratio = m["sender_retransmitted_packets"] / total_sent if total_sent > 0 else 0.0
-    if retx_ratio > config.loss_ratio_threshold:
-        return diag(
-            RuleId.NETWORK_LOSS,
-            {"retransmit_ratio": (retx_ratio, config.loss_ratio_threshold)},
-        )
+    m["retransmit_ratio"] = m["sender_retransmitted_packets"] / total_sent if total_sent > 0 else 0.0
 
-    # Inflated RTT plus a clearly reduced write rate.
-    rtt = m["sender_rtt_us"]
-    rtt_threshold = config.rtt_factor * baseline.normal_rtt_us
-    client_write = m["receiver_client_write_bytes_per_s"]
-    write_low = config.kappa_low * baseline.mean("receiver_client_write_bytes_per_s")
-    if rtt > rtt_threshold and client_write < write_low:
-        return diag(
-            RuleId.NETWORK_CONGESTION,
-            {
-                "sender_rtt_us": (rtt, rtt_threshold),
-                "receiver_client_write_bytes_per_s": (client_write, write_low),
-            },
-        )
-
-    # Source OST saturated while the transfer's client reads only part of it.
-    ost_read = m["sender_ost_read_bytes_per_s"]
-    client_read = m["sender_client_read_bytes_per_s"]
-    read_near = config.kappa_near * baseline.disk_read_max
-    if ost_read >= read_near and client_read < config.kappa_gap * ost_read:
-        return diag(
-            RuleId.SENDER_OST_READ,
-            {
-                "sender_ost_read_bytes_per_s": (ost_read, read_near),
-                "sender_client_read_bytes_per_s": (client_read, config.kappa_gap * ost_read),
-            },
-        )
-
-    # Destination OST saturated while the transfer writes only part of it.
-    ost_write = m["receiver_ost_write_bytes_per_s"]
-    write_near = config.kappa_near * baseline.disk_write_max
-    if ost_write >= write_near and client_write < config.kappa_gap * ost_write:
-        return diag(
-            RuleId.RECEIVER_OST_WRITE,
-            {
-                "receiver_ost_write_bytes_per_s": (ost_write, write_near),
-                "receiver_client_write_bytes_per_s": (client_write, config.kappa_gap * ost_write),
-            },
-        )
-
-    # Sender client starved while its Lustre NIC moves more than normal.
-    nic_rx = m["sender_lnet_nic_rx_bytes_per_s"]
-    read_low = config.kappa_low * baseline.mean("sender_client_read_bytes_per_s")
-    nic_rx_high = config.kappa_high * baseline.mean("sender_lnet_nic_rx_bytes_per_s")
-    if client_read < read_low and nic_rx > nic_rx_high:
-        return diag(
-            RuleId.SENDER_CLIENT_READ,
-            {
-                "sender_client_read_bytes_per_s": (client_read, read_low),
-                "sender_lnet_nic_rx_bytes_per_s": (nic_rx, nic_rx_high),
-            },
-        )
-
-    # Receiver client starved while its Lustre NIC moves more than normal.
-    nic_tx = m["receiver_lnet_nic_tx_bytes_per_s"]
-    nic_tx_high = config.kappa_high * baseline.mean("receiver_lnet_nic_tx_bytes_per_s")
-    if client_write < write_low and nic_tx > nic_tx_high:
-        return diag(
-            RuleId.RECEIVER_CLIENT_WRITE,
-            {
-                "receiver_client_write_bytes_per_s": (client_write, write_low),
-                "receiver_lnet_nic_tx_bytes_per_s": (nic_tx, nic_tx_high),
-            },
-        )
-
-    return diag(RuleId.NORMAL_FALLBACK, {})
+    for rule, label, clauses in RULES:
+        evidence: dict[str, tuple[float, float]] = {}
+        for quantity, holds, threshold in clauses:
+            observed, bound = m[quantity], threshold(m, baseline, config)
+            if not holds(observed, bound):
+                break
+            evidence[quantity] = (observed, bound)
+        else:
+            return Diagnosis(transfer_id, window_start, window_end, label, rule, evidence)
+    return Diagnosis(
+        transfer_id, window_start, window_end, AnomalyClass.NORMAL, RuleId.NORMAL_FALLBACK, {}
+    )
 
 
 def classify_run_windows(

@@ -265,19 +265,6 @@ def test_unreachable_collector_never_stalls_collection():
     publisher.close()
 
 
-def test_agent_config_file_roundtrip(tmp_path):
-    p = tmp_path / "agent.json"
-    p.write_text(
-        '{"interval_s": 0.5, "profile": "full142", '
-        '"collector_address": ["127.0.0.1", 9100], "queue_capacity": 500}'
-    )
-    cfg = AgentConfig.load(p)
-    assert cfg.interval_s == 0.5
-    assert cfg.profile is Profile.FULL142
-    assert cfg.collector_address == ("127.0.0.1", 9100)
-    assert cfg.queue_capacity == 500
-
-
 def test_interval_floor_enforced():
     with pytest.raises(ValueError):
         AgentConfig(interval_s=0.01)

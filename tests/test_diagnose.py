@@ -1,10 +1,16 @@
 """Baseline fitting, rule evaluation, normalization, centroid, and scoring."""
+import hashlib
+import operator
 import random
+from collections import Counter
 
 import pytest
 
 from xfermon.diagnose import (
     BaselineProfile,
+    RULE_OPERANDS,
+    RULES,
+    RuleConfig,
     RuleId,
     centroid_fit,
     centroid_predict,
@@ -12,6 +18,7 @@ from xfermon.diagnose import (
     classify,
     classify_run_windows,
     fit_baseline,
+    fit_baseline_from_dataset,
     normalize_row,
     normalize_rows,
     score,
@@ -20,8 +27,11 @@ from xfermon.diagnose import (
 from xfermon.diagnose.rules import MissingMetricError
 from xfermon.metrics import MINIMAL_NAMES
 from xfermon.sim import (
+    LABEL_CLASSES,
     AnomalyClass,
     build_run,
+    builtin_testbeds,
+    generate_dataset,
     get_testbed,
     run_rows,
 )
@@ -272,6 +282,22 @@ def test_rule_determinism(flat_baseline):
     assert d1 == d2
 
 
+def test_rule_table_is_complete():
+    # Every rule appears once, the labels cover every class but normal once
+    # each, and every clause compares a window mean (or the retransmit ratio).
+    assert Counter(rule for rule, _, _ in RULES) == Counter(
+        r for r in RuleId if r is not RuleId.NORMAL_FALLBACK
+    )
+    assert Counter([label for _, label, _ in RULES] + [AnomalyClass.NORMAL]) == Counter(
+        LABEL_CLASSES
+    )
+    for _, _, clauses in RULES:
+        assert clauses
+        for quantity, holds, _ in clauses:
+            assert quantity in RULE_OPERANDS or quantity == "retransmit_ratio"
+            assert holds in (operator.lt, operator.gt, operator.ge)
+
+
 def test_classify_run_windows_covers_run(sim_dataset):
     tb, rows = sim_dataset
     base = fit_baseline(
@@ -284,6 +310,36 @@ def test_classify_run_windows_covers_run(sim_dataset):
     diags = classify_run_windows([r.metrics for r in one_run], base, transfer_id="x")
     assert len(diags) == 2  # 20 s run, 10 s windows
     assert all(d.label is AnomalyClass.NETWORK_LOSS for d in diags)
+
+
+def test_diagnoses_are_unchanged():
+    # Every Diagnosis.to_json() line, bit for bit: all 8 testbeds, one run per
+    # class, raw rows against the fitted baseline and normalized rows against
+    # the unit baseline, under the default and one non-default config.
+    rows, _ = generate_dataset(builtin_testbeds().values(), runs_per_class=1, seed=2718)
+    by_run = {}
+    for r in rows:
+        by_run.setdefault((r.testbed_id, r.transfer_id), []).append(r)
+    configs = (
+        RuleConfig(),
+        RuleConfig(window_s=7, kappa_near=0.6, kappa_gap=0.95, rtt_factor=1.1),
+    )
+    baselines = {tb: fit_baseline_from_dataset(rows, tb) for tb, _ in by_run}
+    digest = hashlib.sha256()
+    count = 0
+    for (tb, tid), rs in sorted(by_run.items()):
+        rs.sort(key=lambda r: r.t)
+        raw = [r.metrics for r in rs]
+        base = baselines[tb]
+        for data, b in ((raw, base), (normalize_rows(raw, base), unit_baseline(base))):
+            for config in configs:
+                for d in classify_run_windows(data, b, config, transfer_id=tid):
+                    digest.update(d.to_json().encode() + b"\n")
+                    count += 1
+    assert (count, digest.hexdigest()) == (
+        8 * 9 * 2 * (6 + 8),
+        "994caa1f9d37ffd0c3471d47a0330b73304bf31a6a20143563ad177e3863f59d",
+    )
 
 
 # ----------------------------------------------------------------------
