@@ -127,13 +127,13 @@ class MonitoringAgent:
             self.runtime.fetch_oss(self._receiver_oss, emulate_exec=True),
         )
 
-    def collect(self, transfer_id: str, tick: int, profile: Profile | None = None) -> MetricEnvelope:
+    def collect(self, transfer_id: str, tick: int) -> MetricEnvelope:
         """Assemble one envelope for a transfer from the four layer snapshots.
 
         Raises StaleCacheError when any needed cache entry is older than two
         intervals; the caller records a gap marker for the tick.
         """
-        profile = profile or self.config.profile
+        profile = self.config.profile
         started = time.perf_counter()
         sender_host, receiver_host, sender_oss, receiver_oss = self._layer_snapshots(tick)
         values = assemble_values(

@@ -33,14 +33,6 @@ class PublisherStats:
     sent_total: int = 0
     send_errors: int = 0
 
-    def snapshot(self) -> dict[str, int]:
-        return {
-            "published_total": self.published_total,
-            "dropped_total": self.dropped_total,
-            "sent_total": self.sent_total,
-            "send_errors": self.send_errors,
-        }
-
 
 class SinkTransport:
     """In-process synchronous sink; useful for tests and offline pipelines."""
@@ -106,6 +98,9 @@ class Publisher:
         self.synchronous = isinstance(self.transport, SinkTransport)
         self.stats = PublisherStats()
         self._queue: deque[bytes] = deque()
+        # 1 while the drain thread sends a frame it took off the queue, so
+        # drop-oldest cannot evict (and count) a frame being delivered.
+        self._sending = 0
         self._lock = threading.Lock()
         self._wake = threading.Event()
         self._stop = threading.Event()
@@ -116,8 +111,9 @@ class Publisher:
 
     @property
     def queue_depth(self) -> int:
+        """Frames published but not yet delivered or dropped."""
         with self._lock:
-            return len(self._queue)
+            return len(self._queue) + self._sending
 
     def publish(self, envelope: MetricEnvelope) -> PublishResult:
         """Enqueue one envelope; never blocks on the network."""
@@ -129,7 +125,7 @@ class Publisher:
             return PublishResult.ACK
         dropped = False
         with self._lock:
-            if len(self._queue) >= self.queue_capacity:
+            if len(self._queue) + self._sending >= self.queue_capacity and self._queue:
                 self._queue.popleft()
                 self.stats.dropped_total += 1
                 dropped = True
@@ -146,20 +142,25 @@ class Publisher:
                 with self._lock:
                     if not self._queue:
                         break
-                    frame = self._queue[0]
+                    frame = self._queue.popleft()
+                    self._sending = 1
                 try:
                     self.transport.send(frame)
                 except ConnectionError:
-                    self.stats.send_errors += 1
+                    with self._lock:
+                        # Still the oldest frame: retry it first.
+                        self._queue.appendleft(frame)
+                        self._sending = 0
+                        self.stats.send_errors += 1
                     time.sleep(0.05)
                     break
                 with self._lock:
-                    if self._queue and self._queue[0] is frame:
-                        self._queue.popleft()
-                self.stats.sent_total += 1
+                    self._sending = 0
+                    self.stats.sent_total += 1
 
     def flush(self, timeout_s: float = 5.0) -> bool:
-        """Wait for the queue to drain; False if it did not in time."""
+        """Wait until every queued frame is delivered or dropped; False if
+        that did not happen in time."""
         deadline = time.monotonic() + timeout_s
         while time.monotonic() < deadline:
             if self.queue_depth == 0:

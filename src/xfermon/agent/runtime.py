@@ -38,9 +38,6 @@ class SimulationRuntime:
         self.tick += 1
         return self.snapshot
 
-    def done(self) -> bool:
-        return self.tick + 1 >= self.run.duration_s
-
     # -- upstream taps -------------------------------------------------
     def fetch_host(self, host_id: str, emulate_exec: bool = False) -> dict:
         if self.snapshot is None:

@@ -156,11 +156,7 @@ def cmd_gen(args) -> int:
 
 def _gen_sweep(args, testbeds, out: Path, started: float) -> int:
     """Severity-sweep curves: mean throughput per (class, menu level)."""
-    sweep_classes = (
-        [AnomalyClass(args.sweep)] if args.sweep != "all" else
-        [AnomalyClass.NETWORK_LOSS, AnomalyClass.CORRUPT, AnomalyClass.REORDER,
-         AnomalyClass.DUPLICATE, AnomalyClass.JITTER, AnomalyClass.NETWORK_CONGESTION]
-    )
+    sweep_classes = [AnomalyClass(args.sweep)] if args.sweep != "all" else list(SWEEP_MENUS)
     out.parent.mkdir(parents=True, exist_ok=True)
     with out.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -297,17 +293,17 @@ def cmd_pipeline(args) -> int:
                 f"dropped={stats.envelopes_dropped} gaps={stats.gaps}"
             )
             if collector is not None:
-                cs = collector.stats()
-                line += f" persisted={cs.persisted_total} collector_queue={cs.queue_depth}"
+                line += f" persisted={collector.stats().persisted_total}"
             print(line)
             if args.realtime:
                 elapsed = time.monotonic() - tick_started
                 time.sleep(max(0.0, args.interval - elapsed))
+            else:
+                # Unpaced ticks wait for delivery: a tick loop that never
+                # blocks can starve the publisher's thread of the GIL until
+                # drop-oldest evicts envelopes a later tick could have sent.
+                publisher.flush()
         publisher.flush(timeout_s=10.0)
-        if collector is not None:
-            deadline = time.monotonic() + 10.0
-            while collector.stats().queue_depth > 0 and time.monotonic() < deadline:
-                time.sleep(0.05)
     finally:
         publisher.close()
         if collector is not None:

@@ -1,9 +1,11 @@
 """Ingest service: receives framed envelopes, persists them, serves queries.
 
-Many agent connections feed one serialized persistence writer through a
-queue; queries run against the store's in-memory index plus flushed
-segments. Above ingest capacity the writer queue grows gracefully instead of
-corrupting data or stalling the accept loop.
+Each agent connection persists what it decodes on its own thread, one
+batch at a time under the collector's lock; queries run against the store's
+in-memory index plus flushed segments. A slow store holds up the reads of
+the connections that feed it, and TCP carries that pressure back to each
+agent's bounded drop-oldest publisher, so the collector's memory stays
+bounded and every loss is counted where it happens.
 
 A second listener speaks a line-oriented query protocol:
 
@@ -33,7 +35,6 @@ from .framing import FrameDecoder, FrameError
 from .storage import Record, SegmentStore
 
 RECV_CHUNK = 256 * 1024
-WRITE_BATCH = 1024
 # On stop, open ingest connections read on until EOF or until this long after
 # stop() began; frames still unread then are counted in stop_drop_total.
 STOP_DRAIN_S = 1.0
@@ -50,7 +51,6 @@ class CollectorConfig:
 @dataclass
 class IngestStats:
     msgs_per_s: float = 0.0
-    queue_depth: int = 0
     persisted_total: int = 0
     reject_total: int = 0
     stop_drop_total: int = 0
@@ -61,22 +61,22 @@ class IngestStats:
 
 
 class CollectorService:
-    """TCP ingest + query front over a SegmentStore."""
+    """TCP ingest + query front over a SegmentStore.
+
+    A connection reads its next chunk only once the store holds the last
+    one, so the collector pushes back on its agents instead of queueing.
+    """
 
     def __init__(self, config: CollectorConfig | None = None):
         self.config = config or CollectorConfig()
         self.store = SegmentStore(self.config.data_dir)
-        self._write_queue: deque[Record] = deque()
-        self._queue_lock = threading.Lock()
-        # Exactly-once: a key is a duplicate while it is queued here or once
-        # the store holds it. The writer indexes a batch before it discards
-        # the batch's keys from this set, so no key is ever in neither.
-        self._queued: set[tuple[str, int]] = set()
-        self._wake = threading.Event()  # set when the write queue gains records
+        # Exactly-once: the dedup check and the append happen under this one
+        # lock. Lock order: _lock, then the store's lock.
+        self._lock = threading.Lock()
         self._stop = threading.Event()
         self._drain_until = 0.0  # set by stop(): when open connections are cut
         # Counters and the open ingest connections' threads; all guarded by
-        # _queue_lock.
+        # _lock.
         self._persisted_total = 0
         self._reject_total = 0
         self._stop_drop_total = 0
@@ -87,7 +87,8 @@ class CollectorService:
         self._query_sock: socket.socket | None = None
         self.ingest_address: tuple[str, int] | None = None
         self.query_address: tuple[str, int] | None = None
-        # Test hook: per-batch writer delay to emulate a slow backing store.
+        # Test hook: per-batch delay before the append, to emulate a slow
+        # backing store.
         self.writer_delay_s = 0.0
 
     # ------------------------------------------------------------------
@@ -98,7 +99,6 @@ class CollectorService:
         self._query_sock = self._listen(cfg.host, cfg.query_port)
         self.query_address = self._query_sock.getsockname()
         for target, name in (
-            (self._writer_loop, "collector-writer"),
             (self._accept_loop_ingest, "collector-ingest"),
             (self._accept_loop_query, "collector-query"),
         ):
@@ -118,20 +118,17 @@ class CollectorService:
     def stop(self) -> None:
         self._drain_until = time.monotonic() + STOP_DRAIN_S
         self._stop.set()
-        self._wake.set()
         for th in self._threads:
             th.join(timeout=3.0)
         for sock in (self._ingest_sock, self._query_sock):
             if sock is not None:
                 sock.close()
-        # No connection is accepted any more; the open ones end by EOF or by
-        # STOP_DRAIN_S, and whatever they queued is persisted below.
-        with self._queue_lock:
+        # No connection is accepted any more; the open ones persist what they
+        # read until EOF or STOP_DRAIN_S.
+        with self._lock:
             conn_threads = list(self._conn_threads)
         for th in conn_threads:
             th.join()
-        while self._drain_queue_to_store():
-            pass
         self.store.flush(sync=True)
         self.store.close()
 
@@ -147,7 +144,7 @@ class CollectorService:
             except OSError:
                 return
             th = threading.Thread(target=self._ingest_conn, args=(conn,), daemon=True)
-            with self._queue_lock:
+            with self._lock:
                 self._conn_threads.add(th)
             th.start()
 
@@ -185,7 +182,7 @@ class CollectorService:
                     self._ingest_payloads(payloads)
         finally:
             conn.close()
-            with self._queue_lock:
+            with self._lock:
                 self._conn_threads.discard(threading.current_thread())
 
     def _drop_unread(self, conn: socket.socket, decoder: FrameDecoder) -> None:
@@ -204,15 +201,16 @@ class CollectorService:
         except (OSError, FrameError):
             pass  # nothing more is buffered, or the rest is not framed
         dropped += decoder.pending_bytes > 0
-        with self._queue_lock:
+        with self._lock:
             self._stop_drop_total += dropped
 
     def _count_reject(self) -> None:
-        with self._queue_lock:
+        with self._lock:
             self._reject_total += 1
 
     def _ingest_payloads(self, payloads: list[bytes]) -> None:
-        candidates: list[tuple[tuple[str, int], Record]] = []
+        """Decode, validate and persist one batch on the calling thread."""
+        records: list[Record] = []
         rejects = 0
         for payload in payloads:
             try:
@@ -223,66 +221,40 @@ class CollectorService:
             if validate_envelope(env):
                 rejects += 1
                 continue
-            candidates.append(
-                (
-                    (env.transfer_id, env.timestamp),
-                    Record(
-                        transfer_id=env.transfer_id,
-                        testbed_id=env.testbed_id,
-                        t=env.timestamp,
-                        profile=env.profile.value,
-                        metrics=env.values,
-                    ),
+            records.append(
+                Record(
+                    transfer_id=env.transfer_id,
+                    testbed_id=env.testbed_id,
+                    t=env.timestamp,
+                    profile=env.profile.value,
+                    metrics=env.values,
                 )
             )
-        accepted: list[Record] = []
-        # Lock order: _queue_lock, then the store's lock (inside has()).
-        with self._queue_lock:
-            for key, record in candidates:
-                if key in self._queued or self.store.has(*key):
+        if records and self.writer_delay_s > 0:
+            time.sleep(self.writer_delay_s)
+        with self._lock:
+            seen: set[tuple[str, int]] = set()
+            fresh: list[Record] = []
+            for record in records:
+                key = (record.transfer_id, record.t)
+                if key in seen or self.store.has(*key):
                     rejects += 1
                     continue
-                self._queued.add(key)
-                accepted.append(record)
-            self._write_queue.extend(accepted)
+                seen.add(key)
+                fresh.append(record)
+            if fresh:
+                self.store.append_many(fresh)
+                self.store.flush()
+                self._persisted_total += len(fresh)
+                self._rate_window.append((time.monotonic(), len(fresh)))
             self._reject_total += rejects
-        if accepted:
-            self._wake.set()
-
-    def _writer_loop(self) -> None:
-        while not self._stop.is_set():
-            self._wake.wait()
-            # Clear before draining: records queued after this point set the
-            # event again, so no wakeup is lost.
-            self._wake.clear()
-            # After stop, ingest connections may still be queueing; stop()
-            # persists the rest once they have ended.
-            while not self._stop.is_set() and self._drain_queue_to_store():
-                pass
-
-    def _drain_queue_to_store(self) -> bool:
-        with self._queue_lock:
-            if not self._write_queue:
-                return False
-            n = min(WRITE_BATCH, len(self._write_queue))
-            batch = [self._write_queue.popleft() for _ in range(n)]
-        if self.writer_delay_s > 0:
-            time.sleep(self.writer_delay_s)
-        self.store.append_many(batch)
-        self.store.flush()
-        with self._queue_lock:
-            self._queued.difference_update((r.transfer_id, r.t) for r in batch)
-            self._persisted_total += len(batch)
-            self._rate_window.append((time.monotonic(), len(batch)))
-        return True
 
     # ------------------------------------------------------------------
     def stats(self) -> IngestStats:
         now = time.monotonic()
-        with self._queue_lock:
+        with self._lock:
             return IngestStats(
                 msgs_per_s=float(sum(n for ts, n in self._rate_window if now - ts <= 1.0)),
-                queue_depth=len(self._write_queue),
                 persisted_total=self._persisted_total,
                 reject_total=self._reject_total,
                 stop_drop_total=self._stop_drop_total,

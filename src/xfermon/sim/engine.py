@@ -30,7 +30,8 @@ from .anomaly import (
 )
 from .testbed import TestbedSpec
 
-DEFAULT_CONGESTION_RTT_FACTOR = 1.8
+# RTT inflation while congestion flows share the WAN.
+CONGESTION_RTT_FACTOR = 1.8
 
 # Per-second multiplicative efficiency jitter on achieved rates. Kept small
 # and one-sided (<= 1.0) so no counter can exceed its layer capacity and the
@@ -85,7 +86,6 @@ class SimRun:
     competitors: tuple[CompetitorLoad, ...] = ()
     seed: int = 0
     duration_s: int = 60
-    congestion_rtt_factor: float = DEFAULT_CONGESTION_RTT_FACTOR
 
     def __post_init__(self) -> None:
         if self.duration_s < 1:
@@ -97,34 +97,12 @@ class SimRun:
             _check_overlap(self.anomalies, spec)
 
 
-def _anomaly_resource(spec: AnomalySpec) -> str:
-    """The contended resource an anomaly occupies, for overlap rejection."""
-    return {
-        AnomalyClass.SENDER_OST_READ_CONGESTION: "sender_ost",
-        AnomalyClass.RECEIVER_OST_WRITE_CONGESTION: "receiver_ost",
-        AnomalyClass.SENDER_CLIENT_READ_CONGESTION: "sender_lnet",
-        AnomalyClass.RECEIVER_CLIENT_WRITE_CONGESTION: "receiver_lnet",
-        AnomalyClass.NETWORK_CONGESTION: "wan",
-        AnomalyClass.NETWORK_LOSS: "wan_quality",
-        AnomalyClass.CORRUPT: "wan_quality",
-        AnomalyClass.REORDER: "wan_quality",
-        AnomalyClass.DUPLICATE: "wan_quality",
-        AnomalyClass.JITTER: "wan_delay",
-        AnomalyClass.SENDER_TCP_BUFFER_MISCONFIG: "sender_tcp",
-        AnomalyClass.RECEIVER_TCP_BUFFER_MISCONFIG: "receiver_tcp",
-    }[spec.cls]
-
-
 def _check_overlap(existing: tuple[AnomalySpec, ...], new: AnomalySpec) -> None:
     for other in existing:
         if other is new:
             continue
-        if other.cls is new.cls and _anomaly_resource(other) == _anomaly_resource(new):
-            if other.start_s < new.end_s and new.start_s < other.end_s:
-                raise ValueError(
-                    f"overlapping {new.cls.value} anomalies on {_anomaly_resource(new)}; "
-                    "runs are single-fault"
-                )
+        if other.cls is new.cls and other.start_s < new.end_s and new.start_s < other.end_s:
+            raise ValueError(f"overlapping {new.cls.value} anomalies; runs are single-fault")
 
 
 def inject(run: SimRun, spec: AnomalySpec) -> SimRun:
@@ -361,7 +339,7 @@ class Engine:
         # Effective RTT: congestion inflates it by a queueing factor, jitter
         # widens it by two standard deviations.
         rtt_base = tb.rtt_us
-        rtt_eff = rtt_base * (self.run.congestion_rtt_factor if eff["congestion_flows"] else 1.0)
+        rtt_eff = rtt_base * (CONGESTION_RTT_FACTOR if eff["congestion_flows"] else 1.0)
         rtt_for_rate = rtt_eff + 2.0 * eff["jitter_std_us"]
 
         send_buf = eff["send_buf_override"] or tb.default_tcp_buf_max_bytes

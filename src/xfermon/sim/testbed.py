@@ -27,7 +27,6 @@ class TestbedSpec:
     per_ost_disk_write_bytes_per_s: float
     lnet_nic_bytes_per_s: float
     oss_count_per_side: int = 3
-    client_count_per_side: int = 3
     default_tcp_buf_max_bytes: float = 0.0  # 0 means "2x BDP", filled by __post_init__
     parallel_streams: int = 1
     mss_bytes: float = DEFAULT_MSS_BYTES
@@ -69,8 +68,6 @@ class TestbedSpec:
                 raise ValueError(f"{self.id}: {name} must be strictly positive, got {val}")
         if self.oss_count_per_side < 2:
             raise ValueError(f"{self.id}: need at least 2 OSSes per side")
-        if self.client_count_per_side < 1:
-            raise ValueError(f"{self.id}: need at least 1 client per side")
         if self.parallel_streams < 1:
             raise ValueError(f"{self.id}: parallel_streams must be >= 1")
         if self.default_tcp_buf_max_bytes < self.bdp_bytes:

@@ -351,7 +351,6 @@ def test_criterion_6_collector_throughput(tmp_path):
             rate = total / elapsed
             results[profile.value] = (rate, floor, stats)
             assert stats.persisted_total == total, "messages lost under load"
-            assert stats.queue_depth == 0
             assert rate >= floor
         finally:
             collector.stop()

@@ -1,5 +1,7 @@
 """Monitoring agent: discovery, cache discipline, publishing, scaling."""
+import dataclasses
 import statistics
+import threading
 import time
 
 import pytest
@@ -231,6 +233,47 @@ def test_queue_overflow_drops_oldest_and_counts():
     assert results[5:] == [PublishResult.DROPPED] * 3
     assert pub.stats.dropped_total == 3
     assert pub.queue_depth == 5
+
+
+class GateTransport:
+    """Blocks the first send until released; records every frame delivered."""
+
+    def __init__(self):
+        self.frames: list[bytes] = []
+        self.sending = threading.Event()
+        self.release = threading.Event()
+
+    def send(self, frame: bytes) -> None:
+        if not self.frames:
+            self.sending.set()
+            self.release.wait(timeout=5.0)
+        self.frames.append(frame)
+
+    def close(self) -> None:
+        pass
+
+
+def test_frame_in_flight_is_never_counted_as_dropped():
+    _, runtime, refresher, _, agent = make_stack(n_transfers=1)
+    advance(runtime, refresher, agent)
+    base = agent.collect("x000", runtime.tick)
+    envs = [dataclasses.replace(base, timestamp=t) for t in range(6)]
+    gate = GateTransport()
+    pub = Publisher(gate, queue_capacity=5)
+    pub.publish(envs[0])
+    assert gate.sending.wait(timeout=5.0)  # frame 0 is on the wire
+    results = [pub.publish(env) for env in envs[1:]]
+    gate.release.set()
+    assert pub.flush(timeout_s=5.0)
+    pub.close()
+    stats = pub.stats
+    assert stats.sent_total == len(gate.frames)
+    assert stats.sent_total + stats.dropped_total == stats.published_total == 6
+    # The in-flight frame counts toward the bound, so the oldest queued
+    # frame (t=1) is the one evicted, and frame 0 is delivered, not dropped.
+    assert results.count(PublishResult.DROPPED) == stats.dropped_total == 1
+    delivered = [decode_envelope(f[4:]).timestamp for f in gate.frames]
+    assert delivered == [0, 2, 3, 4, 5]
 
 
 def test_unreachable_collector_never_stalls_collection():

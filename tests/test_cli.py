@@ -5,6 +5,7 @@ import json
 import pytest
 
 from xfermon.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from xfermon.collector import SegmentStore
 from xfermon.sim import load_ndjson
 
 
@@ -106,6 +107,19 @@ def test_pipeline_then_export_roundtrip(tmp_path):
     rows = load_ndjson(exported)
     assert len(rows) == 10 * 6
     assert all(r.label == "network_loss" for r in rows)
+
+
+def test_pipeline_persists_every_record_of_400_transfers(tmp_path, capsys):
+    out_dir = tmp_path / "p400"
+    rc = run_cli(
+        "pipeline", "--testbed", "tb2", "--transfers", "400", "--duration", "30",
+        "--out-dir", str(out_dir),
+    )
+    assert rc == EXIT_OK
+    assert "envelopes_dropped 0" in capsys.readouterr().out.splitlines()
+    store = SegmentStore(out_dir / "collector-data")
+    assert store.record_count == 400 * 30
+    store.close()
 
 
 def test_pipeline_export_equals_simulator_direct(tmp_path):

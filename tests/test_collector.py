@@ -20,6 +20,7 @@ from xfermon.collector import (
     SegmentStore,
     encode_frame,
 )
+from xfermon.agent import Publisher, SocketTransport
 from xfermon.collector import service as service_module
 from xfermon.metrics import Profile, encode_envelope
 from tests.test_metrics import make_envelope
@@ -243,29 +244,49 @@ def test_oversize_frame_resets_connection(collector):
     assert wait_for(lambda: collector.stats().persisted_total == 1)
 
 
-def test_queue_grows_gracefully_above_capacity(collector):
-    collector.writer_delay_s = 0.05  # cripple the writer
+def test_crippled_store_loses_nothing(collector):
+    collector.writer_delay_s = 0.05  # cripple the store: every batch waits
     envs = [make_envelope(transfer_id="burst", t=t) for t in range(3000)]
     blob = b"".join(encode_frame(encode_envelope(e)) for e in envs)
     send_frames(collector.ingest_address, blob)
-    assert wait_for(lambda: collector.stats().queue_depth > 500, timeout_s=10)
-    depth_during = collector.stats().queue_depth
-    collector.writer_delay_s = 0.0
     assert wait_for(lambda: collector.stats().persisted_total == 3000, timeout_s=20)
-    assert depth_during > 500  # it queued instead of crashing or dropping
-    assert collector.stats().queue_depth == 0
+    stats = collector.stats()
+    assert (stats.reject_total, stats.stop_drop_total) == (0, 0)
+    assert collector.store.record_count == 3000
+
+
+def test_stalled_store_pushes_back_and_every_envelope_is_accounted(collector):
+    # The first batch stalls past SocketTransport's 2 s send timeout, so the
+    # publisher's sends block, time out and reconnect while its bounded queue
+    # drops the oldest frames; the collector itself queues nothing.
+    collector.writer_delay_s = 3.0
+    pub = Publisher(SocketTransport(collector.ingest_address))
+    env = make_envelope(transfer_id="stall")
+    n = 60_000
+    for t in range(n):
+        pub.publish(dataclasses.replace(env, timestamp=t))
+    wait_for(lambda: pub.stats.send_errors > 0, timeout_s=5.0)
+    collector.writer_delay_s = 0.0
+    assert pub.flush(timeout_s=20.0)
+    sent = pub.stats.sent_total
+    assert wait_for(lambda: collector.stats().persisted_total == sent, timeout_s=20.0)
+    pub.close()
+    assert sent + pub.stats.dropped_total == pub.stats.published_total == n
+    assert collector.stats().persisted_total == sent
+    assert collector.store.record_count == sent  # each key stored once
+    lines = next(collector.store.directory.glob("segment-*")).read_bytes().splitlines()
+    assert len(lines) == sent
 
 
 def test_stats_is_safe_while_the_writer_persists(tmp_path):
-    # The writer's steps run on a feeder thread, one record per batch, so the
-    # rate window changes thousands of times while stats() reads it.
+    # Ingest runs on a feeder thread, one record per batch, so the rate
+    # window changes thousands of times while stats() reads it.
     service = CollectorService(CollectorConfig(data_dir=tmp_path / "race-data"))
     payloads = [encode_envelope(make_envelope(transfer_id="race", t=t)) for t in range(3000)]
 
     def persist_one_by_one():
         for payload in payloads:
             service._ingest_payloads([payload])
-            service._drain_queue_to_store()
 
     writer = threading.Thread(target=persist_one_by_one)
     switch = sys.getswitchinterval()
@@ -524,6 +545,23 @@ def test_record_count_counts_distinct_keys_across_reopen(tmp_path):
     reopened = SegmentStore(d)
     assert reopened.record_count == 1
     assert reopened.get("k-1", 4).metrics["m"] == 2.0  # the later line wins
+    reopened.close()
+
+
+def test_segments_rotate_and_every_record_reads_back(tmp_path):
+    d = tmp_path / "store"
+    store = SegmentStore(d, segment_max_bytes=2048)
+    records = [Record("seg", "tb1", t, "minimal14", {"m": float(t)}) for t in range(100)]
+    for i in range(0, 100, 10):
+        store.append_many(records[i : i + 10])
+    assert len(list(d.glob("segment-*.ndjson"))) >= 3
+    rows = store.query("seg", 0, 99)
+    assert [values["m"] for _, values in rows] == [float(t) for t in range(100)]
+    assert list(store.iter_records()) == records
+    store.close()
+    reopened = SegmentStore(d, segment_max_bytes=2048)
+    assert reopened.record_count == 100
+    assert list(reopened.iter_records()) == records
     reopened.close()
 
 
