@@ -15,7 +15,7 @@ from ..metrics.catalog import Profile, catalog_names
 from ..metrics.envelope import MetricEnvelope
 from ..sim.engine import assemble_values
 from .caches import CacheService, StaleCacheError
-from .publisher import Publisher
+from .publisher import Publisher, PublishResult
 from .runtime import SimulationRuntime
 
 DEFAULT_INTERVAL_S = 1.0
@@ -167,7 +167,7 @@ class MonitoringAgent:
                 self.stats.gaps += 1
                 continue
             result = self.publisher.publish(env)
-            if result.value == "dropped":
+            if result is PublishResult.DROPPED:
                 self.stats.envelopes_dropped += 1
             self.stats.envelopes_published += 1
             published += 1

@@ -21,7 +21,6 @@ DEFAULT_QUEUE_CAPACITY = 10_000
 
 
 class PublishResult(enum.Enum):
-    ACK = "ack"        # delivered synchronously (in-process sink)
     QUEUED = "queued"  # enqueued for asynchronous transmission
     DROPPED = "dropped"  # queue was full; the oldest envelope was evicted
 
@@ -35,7 +34,7 @@ class PublisherStats:
 
 
 class SinkTransport:
-    """In-process synchronous sink; useful for tests and offline pipelines."""
+    """In-process transport that keeps every frame it is sent; for tests."""
 
     def __init__(self) -> None:
         self.frames: list[bytes] = []
@@ -95,7 +94,6 @@ class Publisher:
     ):
         self.transport = transport if transport is not None else SinkTransport()
         self.queue_capacity = queue_capacity
-        self.synchronous = isinstance(self.transport, SinkTransport)
         self.stats = PublisherStats()
         self._queue: deque[bytes] = deque()
         # 1 while the drain thread sends a frame it took off the queue, so
@@ -104,10 +102,8 @@ class Publisher:
         self._lock = threading.Lock()
         self._wake = threading.Event()
         self._stop = threading.Event()
-        self._thread: threading.Thread | None = None
-        if not self.synchronous:
-            self._thread = threading.Thread(target=self._drain_loop, daemon=True)
-            self._thread.start()
+        self._thread = threading.Thread(target=self._drain_loop, daemon=True)
+        self._thread.start()
 
     @property
     def queue_depth(self) -> int:
@@ -118,11 +114,6 @@ class Publisher:
     def publish(self, envelope: MetricEnvelope) -> PublishResult:
         """Enqueue one envelope; never blocks on the network."""
         frame = encode_frame(encode_envelope(envelope))
-        if self.synchronous:
-            self.transport.send(frame)
-            self.stats.published_total += 1
-            self.stats.sent_total += 1
-            return PublishResult.ACK
         dropped = False
         with self._lock:
             if len(self._queue) + self._sending >= self.queue_capacity and self._queue:
@@ -172,6 +163,5 @@ class Publisher:
     def close(self) -> None:
         self._stop.set()
         self._wake.set()
-        if self._thread is not None:
-            self._thread.join(timeout=2.0)
+        self._thread.join(timeout=2.0)
         self.transport.close()

@@ -30,7 +30,7 @@ from typing import Iterator
 import orjson
 
 from ..metrics.envelope import EnvelopeDecodeError, decode_envelope, validate_envelope
-from ..sim.dataset import DatasetRow, write_ndjson
+from ..sim.dataset import DatasetRow
 from .framing import FrameDecoder, FrameError
 from .storage import Record, SegmentStore
 
@@ -80,7 +80,9 @@ class CollectorService:
         self._persisted_total = 0
         self._reject_total = 0
         self._stop_drop_total = 0
-        self._rate_window: deque[tuple[float, int]] = deque(maxlen=64)
+        # (monotonic time, records persisted) per ingest batch of the last
+        # second; older entries are popped on each append.
+        self._rate_window: deque[tuple[float, int]] = deque()
         self._conn_threads: set[threading.Thread] = set()
         self._threads: list[threading.Thread] = []
         self._ingest_sock: socket.socket | None = None
@@ -246,7 +248,10 @@ class CollectorService:
                 self.store.append_many(fresh)
                 self.store.flush()
                 self._persisted_total += len(fresh)
-                self._rate_window.append((time.monotonic(), len(fresh)))
+                now = time.monotonic()
+                self._rate_window.append((now, len(fresh)))
+                while now - self._rate_window[0][0] > 1.0:
+                    self._rate_window.popleft()
             self._reject_total += rejects
 
     # ------------------------------------------------------------------
@@ -331,20 +336,9 @@ class CollectorService:
     ) -> list[tuple[int, dict[str, float | None]]]:
         return self.store.query(transfer_id, t0, t1, keys)
 
-    # ------------------------------------------------------------------
-    def export_ndjson(
-        self,
-        path: str | Path,
-        transfer_ids: list[str] | None = None,
-        labels: dict[str, str] | None = None,
-    ) -> int:
-        return write_ndjson(dataset_rows(self.store, transfer_ids, labels), path)
-
 
 def dataset_rows(
-    store: SegmentStore,
-    transfer_ids: list[str] | None = None,
-    labels: dict[str, str] | None = None,
+    store: SegmentStore, labels: dict[str, str] | None = None
 ) -> Iterator[DatasetRow]:
     """Persisted records as dataset-schema rows, streamed in (transfer_id, t)
     order.
@@ -353,7 +347,7 @@ def dataset_rows(
     data; transfers without one are exported as normal.
     """
     labels = labels or {}
-    for rec in store.iter_records(transfer_ids):
+    for rec in store.iter_records():
         yield DatasetRow(
             testbed_id=rec.testbed_id,
             transfer_id=rec.transfer_id,

@@ -228,11 +228,10 @@ class SegmentStore:
                 out.append((t, rec.metrics))
         return out
 
-    def iter_records(self, transfer_ids: list[str] | None = None) -> Iterator[Record]:
+    def iter_records(self) -> Iterator[Record]:
         """All records in (transfer_id, t) order."""
         self.flush()
-        ids = transfer_ids if transfer_ids is not None else self.transfer_ids()
-        for tid in ids:
+        for tid in self.transfer_ids():
             with self._lock:
                 locations = sorted(self._index.get(tid, {}).items())
             for _, loc in locations:

@@ -9,7 +9,6 @@ from .centroid import (
     FEATURE_ORDER,
     CentroidModel,
     centroid_fit,
-    centroid_predict,
     centroid_predict_many,
     feature_vector,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "FEATURE_ORDER",
     "CentroidModel",
     "centroid_fit",
-    "centroid_predict",
     "centroid_predict_many",
     "feature_vector",
     "normalize_row",

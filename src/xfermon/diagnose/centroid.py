@@ -8,9 +8,10 @@ same centroids transfer across networks.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
+from functools import reduce
+from operator import add
 
 from ..sim.anomaly import LABEL_CLASSES
 from .baseline import RATE_METRICS
@@ -37,8 +38,8 @@ _RECV_BUF_I = FEATURE_ORDER.index("receiver_tcp_recv_buf_max_bytes")
 _RETX_I = FEATURE_ORDER.index("sender_retransmitted_packets")
 
 
-def feature_vector(row: dict[str, float], normalized: bool) -> np.ndarray:
-    vec = np.array([row[name] for name in FEATURE_ORDER], dtype=np.float64)
+def feature_vector(row: dict[str, float], normalized: bool) -> list[float]:
+    vec = [float(row[name]) for name in FEATURE_ORDER]
     if normalized:
         vec[_SEND_BUF_I] = min(vec[_SEND_BUF_I], BUFFER_RATIO_CLIP)
         vec[_RECV_BUF_I] = min(vec[_RECV_BUF_I], BUFFER_RATIO_CLIP)
@@ -49,7 +50,7 @@ def feature_vector(row: dict[str, float], normalized: bool) -> np.ndarray:
 @dataclass(frozen=True)
 class CentroidModel:
     classes: tuple[str, ...]
-    centroids: np.ndarray  # shape (n_classes, n_features)
+    centroids: tuple[tuple[float, ...], ...]  # one per class, in FEATURE_ORDER
     normalized: bool
 
 
@@ -61,28 +62,25 @@ def centroid_fit(
         raise ValueError("rows and labels must have equal length")
     if not rows:
         raise ValueError("cannot fit centroids on an empty dataset")
-    by_class: dict[str, list[np.ndarray]] = {}
+    by_class: dict[str, list[list[float]]] = {}
     for row, label in zip(rows, labels):
         by_class.setdefault(label, []).append(feature_vector(row, normalized))
     classes = tuple(sorted(by_class, key=lambda c: _CLASS_ORDER.get(c, len(_CLASS_ORDER))))
-    centroids = np.stack([np.mean(np.stack(by_class[c]), axis=0) for c in classes])
+    # Each mean adds its column in row order, then divides by the count: the
+    # rounding of an axis-0 array mean. (Python 3.12's sum() compensates,
+    # so the addition is spelled out.)
+    centroids = tuple(
+        tuple(reduce(add, col) / len(col) for col in zip(*by_class[c])) for c in classes
+    )
     return CentroidModel(classes=classes, centroids=centroids, normalized=normalized)
 
 
-def centroid_predict(model: CentroidModel, row: dict[str, float]) -> str:
-    vec = feature_vector(row, model.normalized)
-    dists = np.linalg.norm(model.centroids - vec, axis=1)
-    # argmin on the class-ordered centroid matrix is the deterministic
-    # tie-break: numpy returns the first minimal index.
-    return model.classes[int(np.argmin(dists))]
-
-
 def centroid_predict_many(model: CentroidModel, rows: list[dict[str, float]]) -> list[str]:
-    if not rows:
-        return []
-    mat = np.stack([feature_vector(r, model.normalized) for r in rows])
-    # (n_rows, n_classes) distance matrix
-    diffs = mat[:, None, :] - model.centroids[None, :, :]
-    dists = np.einsum("ijk,ijk->ij", diffs, diffs)
-    idx = np.argmin(dists, axis=1)
-    return [model.classes[int(i)] for i in idx]
+    """The nearest centroid's class per row. ``index`` finds the first of
+    equal distances, so ties go to the earlier class."""
+    out = []
+    for row in rows:
+        vec = feature_vector(row, model.normalized)
+        dists = [math.dist(vec, c) for c in model.centroids]
+        out.append(model.classes[dists.index(min(dists))])
+    return out

@@ -183,6 +183,7 @@ def test_no_envelope_published_twice():
     _, runtime, refresher, publisher, agent = make_stack(n_transfers=5, duration=6)
     for _ in range(6):
         advance(runtime, refresher, agent)
+    assert publisher.flush()
     decoder = FrameDecoder()
     seen = set()
     for frame in publisher.transport.frames:
@@ -222,19 +223,6 @@ def test_message_count_linearity_up_to_400():
     assert abs(slope - 1.0) <= 0.05
 
 
-def test_queue_overflow_drops_oldest_and_counts():
-    pub = Publisher(SinkTransport(), queue_capacity=5)
-    pub.synchronous = False  # force queueing path without a drain thread
-    _, runtime, refresher, _, agent = make_stack(n_transfers=1)
-    advance(runtime, refresher, agent)
-    env = agent.collect("x000", runtime.tick)
-    results = [pub.publish(env) for _ in range(8)]
-    assert results[:5] == [PublishResult.QUEUED] * 5
-    assert results[5:] == [PublishResult.DROPPED] * 3
-    assert pub.stats.dropped_total == 3
-    assert pub.queue_depth == 5
-
-
 class GateTransport:
     """Blocks the first send until released; records every frame delivered."""
 
@@ -251,6 +239,22 @@ class GateTransport:
 
     def close(self) -> None:
         pass
+
+
+def test_queue_overflow_drops_oldest_and_counts():
+    _, runtime, refresher, _, agent = make_stack(n_transfers=1)
+    advance(runtime, refresher, agent)
+    env = agent.collect("x000", runtime.tick)
+    gate = GateTransport()
+    pub = Publisher(gate, queue_capacity=5)
+    pub.publish(env)
+    assert gate.sending.wait(timeout=5.0)  # frame 0 is in flight
+    results = [pub.publish(env) for _ in range(7)]
+    assert results == [PublishResult.QUEUED] * 4 + [PublishResult.DROPPED] * 3
+    assert pub.stats.dropped_total == 3
+    assert pub.queue_depth == 5
+    gate.release.set()
+    pub.close()
 
 
 def test_frame_in_flight_is_never_counted_as_dropped():

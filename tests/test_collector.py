@@ -6,8 +6,8 @@ import socket
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
 from xfermon.collector import (
@@ -21,6 +21,7 @@ from xfermon.collector import (
     encode_frame,
 )
 from xfermon.agent import Publisher, SocketTransport
+from xfermon.cli import main
 from xfermon.collector import service as service_module
 from xfermon.metrics import Profile, encode_envelope
 from tests.test_metrics import make_envelope
@@ -303,6 +304,26 @@ def test_stats_is_safe_while_the_writer_persists(tmp_path):
     assert service.stats().persisted_total == 3000
 
 
+def test_msgs_per_s_counts_every_batch_of_the_last_second(tmp_path, monkeypatch):
+    # 200 one-envelope batches within one second all count; a batch more
+    # than a second old leaves the window.
+    clock = [100.0]
+    fake_time = SimpleNamespace(monotonic=lambda: clock[0], sleep=time.sleep)
+    monkeypatch.setattr(service_module, "time", fake_time)
+    service = CollectorService(CollectorConfig(data_dir=tmp_path / "rate-data"))
+    try:
+        for t in range(200):
+            clock[0] += 0.001
+            service._ingest_payloads([encode_envelope(make_envelope(transfer_id="rate", t=t))])
+        assert service.stats().msgs_per_s == 200.0
+        clock[0] += 1.5
+        service._ingest_payloads([encode_envelope(make_envelope(transfer_id="rate", t=200))])
+        assert service.stats().msgs_per_s == 1.0
+        assert len(service._rate_window) == 1
+    finally:
+        service.stop()
+
+
 def test_concurrent_duplicates_persist_each_key_once(tmp_path):
     # Four feeders race the writer with the same keys, in small chunks, so
     # keys move from queued to stored while other feeders check them.
@@ -456,20 +477,27 @@ def test_query_returns_exactly_published_values(collector):
 # ----------------------------------------------------------------------
 
 def test_export_reimport_identity(collector, tmp_path):
-    for t in range(10):
-        env = make_envelope(transfer_id="e-1", t=t)
-        send_frames(collector.ingest_address, encode_frame(encode_envelope(env)))
+    # Two transfers, sent in reverse order: export is in (transfer_id, t) order.
+    for tid in ("e-2", "e-1"):
+        blob = b"".join(
+            encode_frame(encode_envelope(make_envelope(transfer_id=tid, t=t))) for t in range(5)
+        )
+        send_frames(collector.ingest_address, blob)
     assert wait_for(lambda: collector.stats().persisted_total == 10)
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"labels": {"e-1": "network_loss"}}))
     out = tmp_path / "export.ndjson"
-    n = collector.export_ndjson(out, labels={"e-1": "network_loss"})
-    assert n == 10
+    data_dir = str(collector.config.data_dir)
+    argv = ["export", "--data-dir", data_dir, "--manifest", str(manifest), "--out", str(out)]
+    assert main(argv) == 0
 
     from xfermon.sim import load_ndjson
 
     rows = load_ndjson(out)
-    assert len(rows) == 10
-    assert all(r.label == "network_loss" for r in rows)
-    assert [r.t for r in rows] == list(range(10))
+    assert [(r.transfer_id, r.t) for r in rows] == [
+        (tid, t) for tid in ("e-1", "e-2") for t in range(5)
+    ]
+    assert [r.label for r in rows] == ["network_loss"] * 5 + ["normal"] * 5
 
     again = tmp_path / "again.ndjson"
     with again.open("wb") as fh:
@@ -478,26 +506,10 @@ def test_export_reimport_identity(collector, tmp_path):
     assert load_ndjson(again) == rows
 
 
-def test_cli_export_is_byte_identical_to_export_ndjson(collector, tmp_path):
-    from xfermon.cli import main
-
-    for tid in ("x-2", "x-1"):
-        blob = b"".join(
-            encode_frame(encode_envelope(make_envelope(transfer_id=tid, t=t))) for t in range(5)
-        )
-        send_frames(collector.ingest_address, blob)
-    assert wait_for(lambda: collector.stats().persisted_total == 10)
-    service_out = tmp_path / "service.ndjson"
-    assert collector.export_ndjson(service_out) == 10
-    cli_out = tmp_path / "cli.ndjson"
-    data_dir = str(collector.config.data_dir)
-    assert main(["export", "--data-dir", data_dir, "--out", str(cli_out)]) == 0
-    assert cli_out.read_bytes() == service_out.read_bytes()
-
-
 def test_export_empty_store_is_empty_file(collector, tmp_path):
     out = tmp_path / "empty.ndjson"
-    assert collector.export_ndjson(out) == 0
+    data_dir = str(collector.config.data_dir)
+    assert main(["export", "--data-dir", data_dir, "--out", str(out)]) == 0
     assert out.read_text() == ""
 
 
@@ -531,6 +543,7 @@ def test_recovery_truncates_torn_tail(tmp_path):
 
 
 def test_numpy_scalars_are_refused_not_coerced():
+    np = pytest.importorskip("numpy")
     with pytest.raises(TypeError):
         Record("np", "tb1", 0, "minimal14", {"m": np.float64(1.5)}).to_json()
 

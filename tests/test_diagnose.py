@@ -13,7 +13,6 @@ from xfermon.diagnose import (
     RuleConfig,
     RuleId,
     centroid_fit,
-    centroid_predict,
     centroid_predict_many,
     classify,
     classify_run_windows,
@@ -435,7 +434,7 @@ def test_centroid_memorizes_well_separated_classes():
     model = centroid_fit(rows, labels, normalized=False)
     preds = centroid_predict_many(model, rows)
     assert score(preds, labels).macro_f1 == 1.0
-    assert centroid_predict(model, rows[0]) == "normal"
+    assert centroid_predict_many(model, [rows[0]])[0] == "normal"
 
 
 def test_centroid_rejects_mismatched_lengths():
@@ -449,7 +448,7 @@ def test_centroid_tie_breaks_by_class_order():
     model = centroid_fit(
         [dict(row), dict(row)], ["network_loss", "normal"], normalized=False
     )
-    assert centroid_predict(model, row) == "normal"  # normal precedes loss
+    assert centroid_predict_many(model, [row])[0] == "normal"  # normal precedes loss
 
 
 # ----------------------------------------------------------------------
