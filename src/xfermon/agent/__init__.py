@@ -16,7 +16,6 @@ from .publisher import (
     DEFAULT_QUEUE_CAPACITY,
     Publisher,
     PublisherStats,
-    PublishResult,
     SinkTransport,
     SocketTransport,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "DEFAULT_QUEUE_CAPACITY",
     "Publisher",
     "PublisherStats",
-    "PublishResult",
     "SinkTransport",
     "SocketTransport",
     "SimulationRuntime",

@@ -15,7 +15,7 @@ from ..metrics.catalog import Profile, catalog_names
 from ..metrics.envelope import MetricEnvelope
 from ..sim.engine import assemble_values
 from .caches import CacheService, StaleCacheError
-from .publisher import Publisher, PublishResult
+from .publisher import Publisher
 from .runtime import SimulationRuntime
 
 DEFAULT_INTERVAL_S = 1.0
@@ -127,23 +127,18 @@ class MonitoringAgent:
             self.runtime.fetch_oss(self._receiver_oss, emulate_exec=True),
         )
 
-    def collect(self, transfer_id: str, tick: int) -> MetricEnvelope:
-        """Assemble one envelope for a transfer from the four layer snapshots.
+    def collect(self, transfer_id: str, tick: int, layers: tuple | None = None) -> MetricEnvelope:
+        """Assemble one envelope for a transfer from the four layer snapshots,
+        read now unless the caller passes the tick's ``layers``.
 
         Raises StaleCacheError when any needed cache entry is older than two
         intervals; the caller records a gap marker for the tick.
         """
         profile = self.config.profile
         started = time.perf_counter()
-        sender_host, receiver_host, sender_oss, receiver_oss = self._layer_snapshots(tick)
-        values = assemble_values(
-            catalog_names(profile),
-            transfer_id,
-            sender_host,
-            receiver_host,
-            sender_oss,
-            receiver_oss,
-        )
+        if layers is None:
+            layers = self._layer_snapshots(tick)
+        values = assemble_values(catalog_names(profile), transfer_id, *layers)
         env = MetricEnvelope(
             transfer_id=transfer_id,
             testbed_id=self.runtime.testbed.id,
@@ -158,20 +153,21 @@ class MonitoringAgent:
     def tick(self, tick: int) -> int:
         """One collection interval: discover, collect, publish. Returns
         the number of envelopes published this tick."""
-        published = 0
-        for transfer_id in self.discover_transfers(tick):
+        transfer_ids = self.discover_transfers(tick)
+        # The cached layers are read once per tick; without caches every
+        # collect fetches its own.
+        layers = None
+        if self.config.use_caches:
             try:
-                env = self.collect(transfer_id, tick)
+                layers = self._layer_snapshots(tick)
             except StaleCacheError as exc:
-                self.gaps.append(GapMarker(transfer_id, tick, str(exc)))
-                self.stats.gaps += 1
-                continue
-            result = self.publisher.publish(env)
-            if result is PublishResult.DROPPED:
-                self.stats.envelopes_dropped += 1
-            self.stats.envelopes_published += 1
-            published += 1
-        return published
+                self.gaps += [GapMarker(tid, tick, str(exc)) for tid in transfer_ids]
+                self.stats.gaps += len(transfer_ids)
+                return 0
+        envs = [self.collect(tid, tick, layers) for tid in transfer_ids]
+        self.stats.envelopes_dropped += self.publisher.publish(envs)
+        self.stats.envelopes_published += len(envs)
+        return len(envs)
 
     # ------------------------------------------------------------------
     def stats_text(self, tick: int | None = None) -> str:

@@ -7,22 +7,21 @@ by construction.
 """
 from __future__ import annotations
 
-import enum
 import socket
 import threading
 import time
 from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from ..collector.framing import encode_frame
 from ..metrics.envelope import MetricEnvelope, encode_envelope
 
 DEFAULT_QUEUE_CAPACITY = 10_000
-
-
-class PublishResult(enum.Enum):
-    QUEUED = "queued"  # enqueued for asynchronous transmission
-    DROPPED = "dropped"  # queue was full; the oldest envelope was evicted
+# Bytes of queued frames sent in one write: the collector's receive chunk, and
+# above the largest frame. Each write hands the GIL away, and a CPU-bound tick
+# loop starves a drain thread that writes per frame.
+SEND_BATCH_BYTES = 256 * 1024
 
 
 @dataclass
@@ -51,6 +50,10 @@ class SocketTransport:
 
     def __init__(self, address: tuple[str, int], connect_timeout_s: float = 1.0,
                  retry_interval_s: float = 0.2):
+        # getaddrinfo imports the idna codec on first use; on the drain thread,
+        # under a CPU-bound tick loop, that costs a GIL hand-off per file read.
+        import encodings.idna  # noqa: F401
+
         self.address = address
         self.connect_timeout_s = connect_timeout_s
         self.retry_interval_s = retry_interval_s
@@ -96,7 +99,7 @@ class Publisher:
         self.queue_capacity = queue_capacity
         self.stats = PublisherStats()
         self._queue: deque[bytes] = deque()
-        # 1 while the drain thread sends a frame it took off the queue, so
+        # Frames the drain thread took off the queue and is sending, so
         # drop-oldest cannot evict (and count) a frame being delivered.
         self._sending = 0
         self._lock = threading.Lock()
@@ -111,43 +114,51 @@ class Publisher:
         with self._lock:
             return len(self._queue) + self._sending
 
-    def publish(self, envelope: MetricEnvelope) -> PublishResult:
-        """Enqueue one envelope; never blocks on the network."""
-        frame = encode_frame(encode_envelope(envelope))
-        dropped = False
+    def publish(self, envelopes: Iterable[MetricEnvelope]) -> int:
+        """Enqueue envelopes; never blocks on the network. Returns how many
+        queued frames drop-oldest evicted to make room."""
+        frames = [encode_frame(encode_envelope(env)) for env in envelopes]
         with self._lock:
-            if len(self._queue) + self._sending >= self.queue_capacity and self._queue:
+            self._queue.extend(frames)
+            evicted = 0
+            # The newest frame stays even when frames in flight fill the bound.
+            while len(self._queue) > 1 and len(self._queue) + self._sending > self.queue_capacity:
                 self._queue.popleft()
-                self.stats.dropped_total += 1
-                dropped = True
-            self._queue.append(frame)
-            self.stats.published_total += 1
+                evicted += 1
+            self.stats.published_total += len(frames)
+            self.stats.dropped_total += evicted
         self._wake.set()
-        return PublishResult.DROPPED if dropped else PublishResult.QUEUED
+        return evicted
 
     def _drain_loop(self) -> None:
         while not self._stop.is_set():
-            self._wake.wait(timeout=0.05)
+            self._wake.wait()
             self._wake.clear()
             while True:
                 with self._lock:
-                    if not self._queue:
-                        break
-                    frame = self._queue.popleft()
-                    self._sending = 1
+                    batch, size = [], 0
+                    while self._queue and size + len(self._queue[0]) <= SEND_BATCH_BYTES:
+                        batch.append(self._queue.popleft())
+                        size += len(batch[-1])
+                    self._sending = len(batch)
+                if not batch:
+                    break
                 try:
-                    self.transport.send(frame)
+                    self.transport.send(b"".join(batch))
                 except ConnectionError:
                     with self._lock:
-                        # Still the oldest frame: retry it first.
-                        self._queue.appendleft(frame)
+                        # Still the oldest frames: retry them first, in order.
+                        # Frames a partial write delivered arrive twice, and
+                        # the collector rejects the copies as duplicates.
+                        self._queue.extendleft(reversed(batch))
                         self._sending = 0
                         self.stats.send_errors += 1
-                    time.sleep(0.05)
-                    break
+                    if self._stop.wait(0.05):  # pause before the retry
+                        return
+                    continue
                 with self._lock:
                     self._sending = 0
-                    self.stats.sent_total += 1
+                    self.stats.sent_total += len(batch)
 
     def flush(self, timeout_s: float = 5.0) -> bool:
         """Wait until every queued frame is delivered or dropped; False if
@@ -156,7 +167,6 @@ class Publisher:
         while time.monotonic() < deadline:
             if self.queue_depth == 0:
                 return True
-            self._wake.set()
             time.sleep(0.01)
         return self.queue_depth == 0
 

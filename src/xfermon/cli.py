@@ -298,11 +298,6 @@ def cmd_pipeline(args) -> int:
             if args.realtime:
                 elapsed = time.monotonic() - tick_started
                 time.sleep(max(0.0, args.interval - elapsed))
-            else:
-                # Unpaced ticks wait for delivery: a tick loop that never
-                # blocks can starve the publisher's thread of the GIL until
-                # drop-oldest evicts envelopes a later tick could have sent.
-                publisher.flush()
         publisher.flush(timeout_s=10.0)
     finally:
         publisher.close()

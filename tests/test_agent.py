@@ -12,18 +12,19 @@ from xfermon.agent import (
     CacheService,
     MonitoringAgent,
     Publisher,
-    PublishResult,
     SinkTransport,
     SocketTransport,
     SimulationRuntime,
 )
 from xfermon.metrics import Profile, decode_envelope, validate_envelope
+from xfermon.collector import CollectorConfig, CollectorService
 from xfermon.collector.framing import FrameDecoder
 from xfermon.sim import Engine, SimRun, TransferJob, get_testbed, minimal_row
 
 
 def make_stack(tb_id="tb2", n_transfers=3, duration=10, seed=21, jobs=None,
-               profile=Profile.MINIMAL14, use_caches=True, upstream_exec_s=0.003):
+               profile=Profile.MINIMAL14, use_caches=True, upstream_exec_s=0.003,
+               transport=None):
     tb = get_testbed(tb_id)
     jobs = jobs if jobs is not None else tuple(
         TransferJob(f"x{i:03d}", file_count=64, file_size_bytes=1 << 34)
@@ -39,7 +40,7 @@ def make_stack(tb_id="tb2", n_transfers=3, duration=10, seed=21, jobs=None,
         host_ids=(tb.host_id("sender"), tb.host_id("receiver")),
         oss_ids=(tb.oss_id("sender"), tb.oss_id("receiver")),
     )
-    publisher = Publisher(SinkTransport())
+    publisher = Publisher(transport if transport is not None else SinkTransport())
     agent = MonitoringAgent(
         runtime, cache, publisher,
         AgentConfig(profile=profile, use_caches=use_caches),
@@ -51,6 +52,21 @@ def advance(runtime, refresher, agent):
     runtime.advance()
     refresher.refresh(runtime.tick)
     return agent.tick(runtime.tick)
+
+
+def delivered_timestamps(writes: list[bytes]) -> list[int]:
+    """Timestamps of the envelopes in the bytes a transport was sent."""
+    decoder = FrameDecoder()
+    return [decode_envelope(p).timestamp for w in writes for p in decoder.feed(w)]
+
+
+def wait_for(predicate, timeout_s=10.0):
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.01)
+    return predicate()
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +240,7 @@ def test_message_count_linearity_up_to_400():
 
 
 class GateTransport:
-    """Blocks the first send until released; records every frame delivered."""
+    """Blocks the first send until released; records every write delivered."""
 
     def __init__(self):
         self.frames: list[bytes] = []
@@ -247,10 +263,10 @@ def test_queue_overflow_drops_oldest_and_counts():
     env = agent.collect("x000", runtime.tick)
     gate = GateTransport()
     pub = Publisher(gate, queue_capacity=5)
-    pub.publish(env)
+    pub.publish([env])
     assert gate.sending.wait(timeout=5.0)  # frame 0 is in flight
-    results = [pub.publish(env) for _ in range(7)]
-    assert results == [PublishResult.QUEUED] * 4 + [PublishResult.DROPPED] * 3
+    evicted = [pub.publish([env]) for _ in range(7)]
+    assert evicted == [0] * 4 + [1] * 3
     assert pub.stats.dropped_total == 3
     assert pub.queue_depth == 5
     gate.release.set()
@@ -264,20 +280,102 @@ def test_frame_in_flight_is_never_counted_as_dropped():
     envs = [dataclasses.replace(base, timestamp=t) for t in range(6)]
     gate = GateTransport()
     pub = Publisher(gate, queue_capacity=5)
-    pub.publish(envs[0])
+    pub.publish(envs[:1])
     assert gate.sending.wait(timeout=5.0)  # frame 0 is on the wire
-    results = [pub.publish(env) for env in envs[1:]]
+    evicted = [pub.publish([env]) for env in envs[1:]]
     gate.release.set()
     assert pub.flush(timeout_s=5.0)
     pub.close()
     stats = pub.stats
-    assert stats.sent_total == len(gate.frames)
+    delivered = delivered_timestamps(gate.frames)
+    assert stats.sent_total == len(delivered)
     assert stats.sent_total + stats.dropped_total == stats.published_total == 6
     # The in-flight frame counts toward the bound, so the oldest queued
     # frame (t=1) is the one evicted, and frame 0 is delivered, not dropped.
-    assert results.count(PublishResult.DROPPED) == stats.dropped_total == 1
-    delivered = [decode_envelope(f[4:]).timestamp for f in gate.frames]
+    assert sum(evicted) == stats.dropped_total == 1
     assert delivered == [0, 2, 3, 4, 5]
+
+
+class FailFirstTransport(GateTransport):
+    """The first send waits until released, then fails without delivering."""
+
+    def __init__(self):
+        super().__init__()
+        self.failed = False
+
+    def send(self, frame: bytes) -> None:
+        if not self.failed:
+            self.failed = True
+            self.sending.set()
+            self.release.wait(timeout=5.0)
+            raise ConnectionError("collector went away")
+        self.frames.append(frame)
+
+
+def test_failed_send_is_retried_first_and_in_order():
+    _, runtime, refresher, _, agent = make_stack(n_transfers=1)
+    advance(runtime, refresher, agent)
+    base = agent.collect("x000", runtime.tick)
+    envs = [dataclasses.replace(base, timestamp=t) for t in range(8)]
+    transport = FailFirstTransport()
+    pub = Publisher(transport)
+    pub.publish(envs[:3])
+    assert transport.sending.wait(timeout=5.0)  # frames 0-2 are in flight
+    pub.publish(envs[3:])  # queued behind the failing batch
+    transport.release.set()
+    assert pub.flush(timeout_s=5.0)
+    pub.close()
+    assert delivered_timestamps(transport.frames) == list(range(8))
+    assert pub.stats.sent_total == pub.stats.published_total == 8
+    assert (pub.stats.send_errors, pub.stats.dropped_total) == (1, 0)
+
+
+class CountingLock:
+    """A lock that counts how often it is taken."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.acquired = 0
+
+    def __enter__(self):
+        self._lock.acquire()
+        self.acquired += 1
+        return self
+
+    def __exit__(self, *exc):
+        self._lock.release()
+
+
+def test_idle_publisher_makes_no_drain_passes():
+    pub = Publisher(SinkTransport())
+    pub._lock = counting = CountingLock()  # every drain pass takes the lock
+    time.sleep(0.3)
+    assert counting.acquired == 0
+    started = time.perf_counter()
+    pub.close()
+    assert not pub._thread.is_alive()
+    assert time.perf_counter() - started < 0.5
+
+
+def test_cpu_bound_tick_loop_does_not_starve_the_publisher(tmp_path):
+    # Back-to-back ticks with no wait for delivery, repeated in one
+    # long-lived process: a publisher that hands the GIL away once per frame
+    # falls behind the loop until drop-oldest evicts envelopes.
+    for repeat in range(4):
+        collector = CollectorService(CollectorConfig(data_dir=tmp_path / f"data-{repeat}"))
+        collector.start()
+        _, runtime, refresher, publisher, agent = make_stack(
+            n_transfers=400, duration=30, transport=SocketTransport(collector.ingest_address)
+        )
+        try:
+            for _ in range(30):
+                advance(runtime, refresher, agent)
+            assert publisher.flush(timeout_s=20.0)
+            assert publisher.stats.dropped_total == 0
+            assert wait_for(lambda: collector.store.record_count == 400 * 30, timeout_s=20.0)
+        finally:
+            publisher.close()
+            collector.stop()
 
 
 def test_unreachable_collector_never_stalls_collection():

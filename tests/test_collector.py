@@ -265,7 +265,7 @@ def test_stalled_store_pushes_back_and_every_envelope_is_accounted(collector):
     env = make_envelope(transfer_id="stall")
     n = 60_000
     for t in range(n):
-        pub.publish(dataclasses.replace(env, timestamp=t))
+        pub.publish([dataclasses.replace(env, timestamp=t)])
     wait_for(lambda: pub.stats.send_errors > 0, timeout_s=5.0)
     collector.writer_delay_s = 0.0
     assert pub.flush(timeout_s=20.0)
