@@ -9,7 +9,6 @@ from .monitor import (
     MAX_CACHE_AGE_INTERVALS,
     AgentConfig,
     AgentStats,
-    GapMarker,
     MonitoringAgent,
 )
 from .publisher import (
@@ -29,7 +28,6 @@ __all__ = [
     "MAX_CACHE_AGE_INTERVALS",
     "AgentConfig",
     "AgentStats",
-    "GapMarker",
     "MonitoringAgent",
     "DEFAULT_QUEUE_CAPACITY",
     "Publisher",

@@ -64,11 +64,8 @@ class CacheRefresher:
     oss_ids: tuple[str, ...] = ()
     upstream_fetches: int = 0
     failures: int = 0
-    paused: bool = False
 
     def refresh(self, tick: int) -> None:
-        if self.paused:
-            return
         sources = [(h, self.fetch_host) for h in self.host_ids]
         sources += [(o, self.fetch_oss) for o in self.oss_ids]
         for key, fetch in sources:
@@ -79,9 +76,3 @@ class CacheRefresher:
                 continue
             self.upstream_fetches += 1
             self.cache.put(CacheEntry(key, data, tick))
-
-    def pause(self) -> None:
-        self.paused = True
-
-    def resume(self) -> None:
-        self.paused = False

@@ -49,13 +49,6 @@ class AgentStats:
             del self.last_collect_latencies_s[:2048]
 
 
-@dataclass(frozen=True)
-class GapMarker:
-    transfer_id: str
-    t: int
-    reason: str
-
-
 class MonitoringAgent:
     """Collects envelopes for transfers sourced on one host."""
 
@@ -71,7 +64,6 @@ class MonitoringAgent:
         self.publisher = publisher
         self.config = config or AgentConfig()
         self.stats = AgentStats()
-        self.gaps: list[GapMarker] = []
         tb = runtime.testbed
         self._sender_host = tb.host_id("sender")
         self._receiver_host = tb.host_id("receiver")
@@ -132,7 +124,7 @@ class MonitoringAgent:
         read now unless the caller passes the tick's ``layers``.
 
         Raises StaleCacheError when any needed cache entry is older than two
-        intervals; the caller records a gap marker for the tick.
+        intervals; the caller counts a gap for each transfer of the tick.
         """
         profile = self.config.profile
         started = time.perf_counter()
@@ -160,8 +152,7 @@ class MonitoringAgent:
         if self.config.use_caches:
             try:
                 layers = self._layer_snapshots(tick)
-            except StaleCacheError as exc:
-                self.gaps += [GapMarker(tid, tick, str(exc)) for tid in transfer_ids]
+            except StaleCacheError:
                 self.stats.gaps += len(transfer_ids)
                 return 0
         envs = [self.collect(tid, tick, layers) for tid in transfer_ids]

@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import statistics
 import sys
 import time
 from collections import defaultdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
@@ -34,6 +36,7 @@ from .agent import (
 )
 from .collector import CollectorConfig, CollectorService, SegmentStore, dataset_rows
 from .diagnose import (
+    DEFAULT_RULE_CONFIG,
     RuleConfig,
     centroid_fit,
     centroid_predict_many,
@@ -357,7 +360,10 @@ def cmd_diagnose(args) -> int:
     if args.transfer_matrix:
         return _diagnose_transfer_matrix(args, rows, started)
 
-    config = RuleConfig.load(args.rules)
+    try:
+        config = RuleConfig(**{f.name: getattr(args, f.name) for f in fields(RuleConfig)})
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     out = Path(args.out)
     by_run = _group_runs(rows)
     testbed_ids = sorted({tb for tb, _ in by_run})
@@ -388,7 +394,7 @@ def cmd_diagnose(args) -> int:
     write_manifest(
         out,
         "diagnose",
-        {"dataset": args.dataset, "baseline": args.baseline, "rules": args.rules},
+        {"dataset": args.dataset, "baseline": args.baseline, **asdict(config)},
         [str(out)],
         started,
     )
@@ -528,52 +534,67 @@ def cmd_export(args) -> int:
 
 # ----------------------------------------------------------------------
 
-def _coerce(value: str):
-    if isinstance(value, str):
-        low = value.lower()
-        if low in ("true", "false"):
-            return low == "true"
-        for cast in (int, float):
-            try:
-                return cast(value)
-            except ValueError:
-                pass
-    return value
+def _bool(text: str) -> bool:
+    flags = {"true": True, "1": True, "false": False, "0": False}
+    if text.lower() not in flags:
+        raise ValueError(f"not a boolean: {text!r}")
+    return flags[text.lower()]
 
 
-def config_overrides(argv: list[str]) -> dict:
-    """Option defaults from --config JSON plus XFERMON_* environment keys.
+def read_config(command: argparse.ArgumentParser, path: str | None) -> dict:
+    """Option defaults for the active subcommand from its --config JSON file
+    and the XFERMON_* environment: the one reader of both.
 
-    Precedence: explicit CLI flag > environment variable > config file >
-    built-in default. Keys the active subcommand does not define are ignored
-    (rule-engine keys like XFERMON_KAPPA_BUF are consumed by RuleConfig).
+    The known keys are the subcommand's option dests plus the other defaults
+    it sets; for diagnose these are the RuleConfig fields. Environment beats
+    file; main passes the result to set_defaults, so an explicit flag beats
+    both. A file key the subcommand does not know is a usage error. An
+    unknown XFERMON_* key is ignored, because every command in a shell sees
+    the same environment. Each value goes through its option's own argparse
+    type and choices, so a bad one is a usage error too.
     """
-    overrides: dict = {}
-    cfg_path = None
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            cfg_path = argv[i + 1]
-        elif token.startswith("--config="):
-            cfg_path = token.split("=", 1)[1]
-    if cfg_path:
-        path = Path(cfg_path)
-        if not path.exists():
-            raise DataError(f"config file not found: {path}")
+    kinds = {k: (type(v), None) for k, v in command._defaults.items() if k != "func"}
+    for a in command._actions:
+        if a.dest not in ("help", "config"):
+            kinds[a.dest] = (_bool if a.nargs == 0 else a.type or str, a.choices)
+    values: dict = {}
+    if path:
+        cfg = Path(path)
+        if not cfg.exists():
+            raise DataError(f"config file not found: {cfg}")
         try:
-            obj = json.loads(path.read_text(encoding="utf-8"))
+            obj = json.loads(cfg.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
-            raise DataError(f"bad config file {path}: {exc}") from exc
-        overrides.update({k.replace("-", "_"): v for k, v in obj.items()})
-    for key, val in os.environ.items():
-        if key.startswith("XFERMON_"):
-            overrides[key[len("XFERMON_"):].lower()] = _coerce(val)
-    return overrides
+            raise DataError(f"bad config file {cfg}: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise UsageError(f"config file {cfg} must hold a JSON object")
+        values = {k.replace("-", "_"): v for k, v in obj.items()}
+        unknown = sorted(set(values) - set(kinds))
+        if unknown:
+            raise UsageError(f"config file {cfg}: unknown keys for {command.prog}: {unknown}")
+    for key, raw in os.environ.items():
+        name = key[len("XFERMON_"):].lower()
+        if key.startswith("XFERMON_") and name in kinds:
+            values[name] = raw
+    resolved = {}
+    for name, raw in values.items():
+        convert, choices = kinds[name]
+        try:
+            if not isinstance(raw, (str, int, float)):
+                raise TypeError(f"{type(raw).__name__} is not a scalar")
+            resolved[name] = convert(str(raw))
+            if choices is not None and resolved[name] not in choices:
+                raise ValueError(f"not one of {list(choices)}")
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"bad config value {name}={raw!r}: {exc}") from None
+    return resolved
 
 
-def build_parser(overrides: dict | None = None) -> CliParser:
+def build_parser() -> tuple[CliParser, dict[str, argparse.ArgumentParser]]:
+    """The parser and its subcommand parsers by name."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--config", default=None,
+        "--config", default=argparse.SUPPRESS,
         help="JSON file of option defaults; XFERMON_* env vars override it",
     )
 
@@ -581,12 +602,7 @@ def build_parser(overrides: dict | None = None) -> CliParser:
                        formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"xfermon {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    subparsers: list[argparse.ArgumentParser] = []
-
-    def add_parser(name: str, **kwargs):
-        p = sub.add_parser(name, parents=[common], **kwargs)
-        subparsers.append(p)
-        return p
+    add_parser = functools.partial(sub.add_parser, parents=[common])
 
     p = add_parser("gen", help="generate a labeled dataset or severity sweep")
     p.add_argument("--testbed", default="all", help="testbed id, comma list, or 'all'")
@@ -622,11 +638,10 @@ def build_parser(overrides: dict | None = None) -> CliParser:
     p = add_parser("diagnose", help="classify dataset windows or build transfer matrices")
     p.add_argument("--dataset", required=True)
     p.add_argument("--baseline", default=None, help="baseline profile JSON (else fitted)")
-    p.add_argument("--rules", default=None, help="rule config JSON")
     p.add_argument("--transfer-matrix", action="store_true",
                    help="emit cross-testbed centroid F1 heatmap CSVs into --out")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_diagnose)
+    p.set_defaults(func=cmd_diagnose, **asdict(DEFAULT_RULE_CONFIG))
 
     p = add_parser("score", help="score predictions against ground truth")
     p.add_argument("--pred", required=True)
@@ -640,17 +655,16 @@ def build_parser(overrides: dict | None = None) -> CliParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export)
 
-    if overrides:
-        for sp in subparsers:
-            known = {a.dest for a in sp._actions}
-            sp.set_defaults(**{k: v for k, v in overrides.items() if k in known})
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        parser = build_parser(config_overrides(argv))
+        parser, commands = build_parser()
+        args = parser.parse_args(argv)
+        command = commands[args.command]
+        command.set_defaults(**read_config(command, getattr(args, "config", None)))
         args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:

@@ -10,23 +10,20 @@ unit baseline gives the same label.
 Threshold constants operationalize the qualitative comparisons the
 conditions are built from: "much smaller than BDP" becomes < kappa_buf x
 BDP, "close to the disk ceiling" becomes >= kappa_near x observed maximum,
-and so on. All of them are configurable.
+and so on. They are the fields of ``RuleConfig``; ``xfermon diagnose`` takes
+them from its ``--config`` file and ``XFERMON_<FIELD>`` environment keys.
 """
 from __future__ import annotations
 
 import enum
 import json
-import os
 from dataclasses import dataclass
 from math import fsum
 from operator import ge, gt, lt
-from pathlib import Path
 from typing import Callable, Sequence
 
 from ..sim.anomaly import AnomalyClass
 from .baseline import BaselineProfile
-
-ENV_PREFIX = "XFERMON_"
 
 
 @dataclass(frozen=True)
@@ -40,25 +37,9 @@ class RuleConfig:
     rtt_factor: float = 1.5    # congestion RTT inflation trigger
     window_s: int = 10
 
-    @classmethod
-    def load(cls, path: str | Path | None = None, env: dict[str, str] | None = None) -> "RuleConfig":
-        """Config file plus XFERMON_<FIELD> environment overrides."""
-        data: dict[str, float] = {}
-        if path is not None:
-            obj = json.loads(Path(path).read_text(encoding="utf-8"))
-            unknown = set(obj) - set(cls.__dataclass_fields__)
-            if unknown:
-                raise ValueError(f"unknown rule config keys: {sorted(unknown)}")
-            data.update(obj)
-        env = os.environ if env is None else env
-        for name in cls.__dataclass_fields__:
-            raw = env.get(ENV_PREFIX + name.upper())
-            if raw is not None:
-                data[name] = float(raw)
-        cfg = cls(**{k: (int(v) if k == "window_s" else float(v)) for k, v in data.items()})
-        if cfg.window_s < 1:
+    def __post_init__(self) -> None:
+        if self.window_s < 1:
             raise ValueError("window_s must be >= 1")
-        return cfg
 
 
 DEFAULT_RULE_CONFIG = RuleConfig()

@@ -1,11 +1,13 @@
 """CLI surface: subcommands, exit codes, manifests, reproducibility."""
 import csv
 import json
+from dataclasses import asdict
 
 import pytest
 
 from xfermon.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 from xfermon.collector import SegmentStore
+from xfermon.diagnose import RuleConfig
 from xfermon.sim import load_ndjson
 
 
@@ -156,6 +158,7 @@ def test_usage_errors_exit_1():
     assert run_cli("gen", "--testbed", "nope", "--out", "x.ndjson") == EXIT_USAGE
     assert run_cli("gen", "--classes", "bogus", "--out", "x.ndjson") == EXIT_USAGE
     assert run_cli("nonsense-command") == EXIT_USAGE
+    assert run_cli("diagnose", "--dataset", "x", "--rules", "r.json", "--out", "d") == EXIT_USAGE
 
 
 def test_data_errors_exit_2(tmp_path):
@@ -204,6 +207,69 @@ def test_config_file_and_env_override(tmp_path, monkeypatch):
     assert max(r.t for r in load_ndjson(out2)) == 3  # env beats config file
 
     assert run_cli("gen", "--config", str(tmp_path / "nope.json"), "--out", "x") == EXIT_DATA
+
+
+def test_diagnose_rule_constants_from_config_file_or_env(tmp_path, small_dataset, monkeypatch):
+    def diagnose(name, *config):
+        out = tmp_path / name
+        assert run_cli(
+            "diagnose", *config, "--dataset", str(small_dataset), "--out", str(out)
+        ) == EXIT_OK
+        return out.read_bytes()
+
+    default = diagnose("default.ndjson")
+    conf = tmp_path / "rules.json"
+    conf.write_text('{"kappa_buf": 0.01}')
+    from_file = diagnose("file.ndjson", "--config", str(conf))
+    assert from_file != default  # the buffer rules no longer fire
+    monkeypatch.setenv("XFERMON_KAPPA_BUF", "0.01")
+    assert diagnose("env.ndjson") == from_file
+
+
+def test_diagnose_manifest_records_resolved_rule_config(tmp_path, small_dataset, monkeypatch):
+    conf = tmp_path / "rules.json"
+    conf.write_text('{"kappa_buf": 0.8, "window_s": 5}')
+    monkeypatch.setenv("XFERMON_KAPPA_BUF", "0.5")  # env beats the file
+    monkeypatch.setenv("XFERMON_RTT_FACTOR", "2.0")
+    monkeypatch.setenv("XFERMON_RUNS_PER_CLASS", "x")  # a gen key: diagnose ignores it
+    out = tmp_path / "diag.ndjson"
+    assert run_cli(
+        "diagnose", "--config", str(conf), "--dataset", str(small_dataset), "--out", str(out)
+    ) == EXIT_OK
+    assert json.loads(out.read_text().splitlines()[0])["window"] == [0, 5]
+    params = json.loads((tmp_path / "diag.ndjson.manifest.json").read_text())["params"]
+    expected = asdict(RuleConfig(kappa_buf=0.5, rtt_factor=2.0, window_s=5))
+    assert {k: params[k] for k in expected} == expected
+    assert "rules" not in params
+
+
+@pytest.mark.parametrize("command, config, env", [
+    ("gen", '{"duration": 5.5}', {}),
+    ("gen", '["a"]', {}),
+    ("gen", '{"testbed": ["tb1"]}', {}),
+    ("gen", None, {"XFERMON_DURATION": "4.5"}),
+    ("pipeline", None, {"XFERMON_REALTIME": "maybe"}),
+    ("pipeline", '{"profile": "bogus"}', {}),
+    ("diagnose", '{"windw_s": 3}', {}),
+    ("diagnose", '{"kappa_buf": "low"}', {}),
+    ("diagnose", None, {"XFERMON_WINDOW_S": "0"}),
+])
+def test_bad_config_values_are_usage_errors(tmp_path, small_dataset, monkeypatch, capsys,
+                                            command, config, env):
+    argv = {
+        "gen": ["gen", "--testbed", "tb1", "--runs-per-class", "1"],
+        "pipeline": ["pipeline", "--transfers", "1", "--duration", "1"],
+        "diagnose": ["diagnose", "--dataset", str(small_dataset)],
+    }[command]
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "conf.json").write_text(config)
+        argv += ["--config", "conf.json"]
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    assert run_cli(*argv, "--out-dir" if command == "pipeline" else "--out", "o") == EXIT_USAGE
+    assert "usage error:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_pipeline_ramp_staircase(tmp_path, capsys):

@@ -274,6 +274,11 @@ def test_short_window_rejected(flat_baseline):
         classify(window(nominal_row(), n=5), flat_baseline)
 
 
+def test_rule_config_rejects_window_below_one():
+    with pytest.raises(ValueError, match="window_s"):
+        RuleConfig(window_s=0)
+
+
 def test_rule_determinism(flat_baseline):
     rows = window(nominal_row(sender_rtt_us=RTT * 1.2))
     d1 = classify(rows, flat_baseline, transfer_id="t", window_start=0)

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xfermon.collector import CollectorConfig, CollectorService, Record, SegmentStore
-from xfermon.diagnose import RuleConfig, classify, fit_baseline
+from xfermon.diagnose import classify, fit_baseline
 from xfermon.metrics import (
     MINIMAL_NAMES,
     EnvelopeDecodeError,
@@ -278,28 +278,3 @@ def test_diagnoses_match_injected_classes(labeled_windows):
     baseline, window_sets = labeled_windows
     for cls, rows in window_sets:
         assert classify(rows, baseline).label is cls
-
-
-# ----------------------------------------------------------------------
-# rule config environment overrides
-# ----------------------------------------------------------------------
-
-def test_rule_config_env_override(tmp_path):
-    p = tmp_path / "rules.json"
-    p.write_text('{"kappa_buf": 0.8, "window_s": 12}')
-    cfg = RuleConfig.load(p, env={})
-    assert cfg.kappa_buf == 0.8
-    assert cfg.window_s == 12
-    cfg2 = RuleConfig.load(p, env={"XFERMON_KAPPA_BUF": "0.5", "XFERMON_RTT_FACTOR": "2.0"})
-    assert cfg2.kappa_buf == 0.5
-    assert cfg2.rtt_factor == 2.0
-    assert cfg2.window_s == 12
-    with pytest.raises(ValueError, match="unknown rule config keys"):
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"kappa_nope": 1}')
-        RuleConfig.load(bad, env={})
-
-
-def test_rule_config_rejects_bad_window(tmp_path):
-    with pytest.raises(ValueError):
-        RuleConfig.load(None, env={"XFERMON_WINDOW_S": "0"})
