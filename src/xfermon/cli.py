@@ -527,6 +527,7 @@ def cmd_export(args) -> int:
         {"data_dir": str(data_dir), "manifest": args.manifest},
         [str(out)],
         started,
+        {"rows": n, "discarded_bytes": store.discarded_bytes},
     )
     print(f"exported {n} rows to {out}")
     return EXIT_OK

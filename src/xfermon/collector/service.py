@@ -347,11 +347,12 @@ def dataset_rows(
     data; transfers without one are exported as normal.
     """
     labels = labels or {}
-    for rec in store.iter_records():
+    for line in store.iter_lines():
+        transfer_id = line["transfer_id"]
         yield DatasetRow(
-            testbed_id=rec.testbed_id,
-            transfer_id=rec.transfer_id,
-            t=rec.t,
-            label=labels.get(rec.transfer_id, "normal"),
-            metrics=rec.metrics,
+            testbed_id=line["testbed_id"],
+            transfer_id=transfer_id,
+            t=int(line["t"]),
+            label=labels.get(transfer_id, "normal"),
+            metrics=line["metrics"],
         )

@@ -1,9 +1,9 @@
 """Append-only NDJSON persistence with an in-memory index.
 
 Records are one JSON object per line in numbered segment files. A crash can
-leave at most one torn final line; opening a store scans each segment,
-indexes every complete record, and truncates a torn tail so the on-disk
-bytes are always a valid NDJSON prefix of what was ingested.
+leave at most one torn final line; opening a store parses each line once to
+index it, and truncates a segment at its first torn or corrupt line so the
+on-disk bytes are always a valid NDJSON prefix of what was ingested.
 """
 from __future__ import annotations
 
@@ -47,16 +47,6 @@ class Record:
             option=orjson.OPT_APPEND_NEWLINE,
         )
 
-    @classmethod
-    def from_obj(cls, obj: dict) -> "Record":
-        return cls(
-            transfer_id=obj["transfer_id"],
-            testbed_id=obj["testbed_id"],
-            t=int(obj["t"]),
-            profile=obj["profile"],
-            metrics=obj["metrics"],
-        )
-
 
 class SegmentStore:
     """Single-writer segmented NDJSON store with per-transfer indexing."""
@@ -73,6 +63,7 @@ class SegmentStore:
         self._read_fds: dict[int, int] = {}  # segment index -> read-only fd
         self._open_fh = None
         self._open_size = 0
+        self.discarded_bytes = 0  # bytes that opening truncated away
         self._recover()
         self._open_segment()
 
@@ -83,22 +74,27 @@ class SegmentStore:
     def _recover(self) -> None:
         self._segments = sorted(self.directory.glob(f"{SEGMENT_PREFIX}*{SEGMENT_SUFFIX}"))
         for seg_idx, path in enumerate(self._segments):
-            valid_end = 0
             offset = 0
             with path.open("rb") as fh:
+                # Trust lines up to the first that is torn or is not a record:
+                # an object with the five Record fields and a t int() takes.
                 for raw in fh:
                     if not raw.endswith(b"\n"):
-                        break  # torn tail
+                        break
                     try:
-                        rec = Record.from_obj(orjson.loads(raw))
+                        obj = orjson.loads(raw)
+                        transfer_id, t = obj["transfer_id"], int(obj["t"])
                     except (ValueError, KeyError, TypeError):
-                        break  # corrupt line; nothing after it is trusted
-                    self._put(rec, seg_idx, offset, len(raw))
+                        break
+                    if not ("testbed_id" in obj and "profile" in obj and "metrics" in obj):
+                        break
+                    self._put(transfer_id, t, seg_idx, offset, len(raw))
                     offset += len(raw)
-                    valid_end = offset
-            if valid_end < path.stat().st_size:
+                size = os.fstat(fh.fileno()).st_size
+            if offset < size:
+                self.discarded_bytes += size - offset
                 with path.open("rb+") as fh:
-                    fh.truncate(valid_end)
+                    fh.truncate(offset)
 
     def _open_segment(self) -> None:
         if not self._segments:
@@ -111,16 +107,18 @@ class SegmentStore:
         if self._open_size < self.segment_max_bytes:
             return
         self._open_fh.close()
-        self._segments.append(self._segment_path(len(self._segments)))
+        # One past the highest number, so a missing segment is never reused.
+        last = int(self._segments[-1].name[len(SEGMENT_PREFIX) : -len(SEGMENT_SUFFIX)])
+        self._segments.append(self._segment_path(last + 1))
         self._open_fh = self._segments[-1].open("ab")
         self._open_size = 0
 
-    def _put(self, record: Record, seg_idx: int, offset: int, length: int) -> None:
+    def _put(self, transfer_id: str, t: int, seg_idx: int, offset: int, length: int) -> None:
         """Index one stored line; the caller holds the lock or owns the store."""
-        ts = self._index.setdefault(record.transfer_id, {})
-        if record.t not in ts:
+        ts = self._index.setdefault(transfer_id, {})
+        if t not in ts:
             self._count += 1
-        ts[record.t] = (seg_idx, offset, length)
+        ts[t] = (seg_idx, offset, length)
 
     # ------------------------------------------------------------------
     def append(self, record: Record) -> None:
@@ -135,7 +133,7 @@ class SegmentStore:
             seg_idx = len(self._segments) - 1
             offset = self._open_size
             for record, line in zip(records, lines):
-                self._put(record, seg_idx, offset, len(line))
+                self._put(record.transfer_id, record.t, seg_idx, offset, len(line))
                 offset += len(line)
             self._open_fh.write(b"".join(lines))
             self._open_size = offset
@@ -171,22 +169,15 @@ class SegmentStore:
         with self._lock:
             return t in self._index.get(transfer_id, {})
 
-    def _read_at(self, seg_idx: int, offset: int, length: int) -> Record:
+    def _read_at(self, seg_idx: int, offset: int, length: int) -> dict:
+        """One stored line, parsed."""
         fd = self._read_fds.get(seg_idx)
         if fd is None:
             with self._lock:
                 fd = self._read_fds.get(seg_idx)
                 if fd is None:
                     fd = self._read_fds[seg_idx] = os.open(self._segments[seg_idx], os.O_RDONLY)
-        return Record.from_obj(orjson.loads(os.pread(fd, length, offset)))
-
-    def get(self, transfer_id: str, t: int) -> Record | None:
-        with self._lock:
-            loc = self._index.get(transfer_id, {}).get(t)
-        if loc is None:
-            return None
-        self.flush()
-        return self._read_at(*loc)
+        return orjson.loads(os.pread(fd, length, offset))
 
     def query(
         self,
@@ -213,26 +204,31 @@ class SegmentStore:
         gap_names = keys
         if gap_names is None:
             # Unfiltered queries shape gap rows after the transfer's catalog.
-            first = self._read_at(*locations[min(locations)])
-            gap_names = list(first.metrics)
+            gap_names = list(self._read_at(*locations[min(locations)])["metrics"])
         out: list[tuple[int, dict[str, float | None]]] = []
         for t in range(t0, t1 + 1):
             loc = locations.get(t)
             if loc is None:
                 out.append((t, {k: None for k in gap_names}))
                 continue
-            rec = self._read_at(*loc)
+            metrics = self._read_at(*loc)["metrics"]
             if keys:
-                out.append((t, {k: rec.metrics.get(k) for k in keys}))
+                out.append((t, {k: metrics.get(k) for k in keys}))
             else:
-                out.append((t, rec.metrics))
+                out.append((t, metrics))
         return out
 
-    def iter_records(self) -> Iterator[Record]:
-        """All records in (transfer_id, t) order."""
+    def iter_lines(self) -> Iterator[dict]:
+        """Every indexed line, parsed one at a time, in (transfer_id, t) order."""
         self.flush()
         for tid in self.transfer_ids():
             with self._lock:
                 locations = sorted(self._index.get(tid, {}).items())
             for _, loc in locations:
                 yield self._read_at(*loc)
+
+    def iter_records(self) -> Iterator[Record]:
+        """All records in (transfer_id, t) order."""
+        for line in self.iter_lines():
+            yield Record(line["transfer_id"], line["testbed_id"], int(line["t"]),
+                         line["profile"], line["metrics"])

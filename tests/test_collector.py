@@ -1,5 +1,6 @@
 """Collector: framing, ingest semantics, queries, persistence safety."""
 import dataclasses
+import hashlib
 import json
 import os
 import socket
@@ -538,7 +539,7 @@ def test_recovery_truncates_torn_tail(tmp_path):
     recovered.close()
     reopened = SegmentStore(d)
     assert reopened.record_count == 51
-    assert reopened.get("r-1", 50).metrics["m"] == 50.0
+    assert reopened.query("r-1", 50, 50)[0][1]["m"] == 50.0
     reopened.close()
 
 
@@ -557,7 +558,7 @@ def test_record_count_counts_distinct_keys_across_reopen(tmp_path):
     store.close()
     reopened = SegmentStore(d)
     assert reopened.record_count == 1
-    assert reopened.get("k-1", 4).metrics["m"] == 2.0  # the later line wins
+    assert reopened.query("k-1", 4, 4)[0][1]["m"] == 2.0  # the later line wins
     reopened.close()
 
 
@@ -593,6 +594,115 @@ def test_recovery_discards_corrupt_middle_line(tmp_path):
     # records after the corruption point are not trusted
     assert recovered.record_count == 6
     recovered.close()
+
+
+def test_export_bytes_are_pinned(tmp_path):
+    # Two segments, a key written again in the later one (the later line
+    # wins), a missing second (t=3) and a labels manifest.
+    d = tmp_path / "store"
+    store = SegmentStore(d, segment_max_bytes=1024)
+    for t in (0, 1, 2, 4, 5):
+        store.append_many([
+            Record(tid, "tb2", t, "minimal14", {"b": t * 0.1, "a": -2.5e9 + t, "c": 1e-7 * t})
+            for tid in ("g-2", "g-1")
+        ])
+    store.append_many([Record("g-1", "tb2", 1, "minimal14", {"b": 42.125, "a": 0.0, "c": 3.0})])
+    store.close()
+    segments = sorted(d.glob("segment-*.ndjson"))
+    assert len(segments) >= 2
+    assert b'"b":42.125' in segments[-1].read_bytes()
+    assert b'"b":42.125' not in segments[0].read_bytes()
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"labels": {"g-1": "network_loss"}}))
+    out = tmp_path / "export.ndjson"
+    argv = ["export", "--data-dir", str(d), "--manifest", str(manifest), "--out", str(out)]
+    assert main(argv) == 0
+    data = out.read_bytes()
+    assert (data.count(b"\n"), hashlib.sha256(data).hexdigest()) == (
+        10,
+        "625be390d59de084c3433d472830a032cbe86794082fd7ed81fd363de37bebd5",
+    )
+
+
+def _good_line(t: int) -> bytes:
+    return Record("g", "tb1", t, "minimal14", {"m": float(t)}).to_json()
+
+
+def _without(key: str) -> bytes:
+    obj = json.loads(_good_line(3))
+    del obj[key]
+    return json.dumps(obj).encode() + b"\n"
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [_without(k) for k in ("transfer_id", "testbed_id", "t", "profile", "metrics")]
+    + [
+        _good_line(3).replace(b'"t":3', b'"t":"soon"'),
+        _good_line(3).replace(b'"t":3', b'"t":null'),
+        b"[1, 2]\n",
+        b'"g"\n',
+        b"7\n",
+    ],
+    ids=[f"no-{k}" for k in ("transfer_id", "testbed_id", "t", "profile", "metrics")]
+    + ["t-string", "t-null", "array", "string", "number"],
+)
+def test_reopen_trusts_only_lines_that_are_records(tmp_path, bad_line):
+    d = tmp_path / "store"
+    d.mkdir()
+    seg = d / "segment-00000.ndjson"
+    prefix = b"".join(_good_line(t) for t in range(3))
+    seg.write_bytes(prefix + bad_line + _good_line(4) + _good_line(5))
+    store = SegmentStore(d)
+    assert store.record_count == 3
+    assert [values["m"] for _, values in store.query("g", 0, 5)] == [0.0, 1.0, 2.0, None, None, None]
+    store.close()
+    assert seg.read_bytes() == prefix
+
+
+def test_rotation_after_a_missing_segment_opens_a_new_file(tmp_path):
+    d = tmp_path / "store"
+    store = SegmentStore(d, segment_max_bytes=300)
+    for t in range(9):
+        store.append(Record("a", "tb1", t, "minimal14", {"m": float(t)}))
+    store.close()
+    assert len(list(d.glob("segment-*.ndjson"))) == 3
+    (d / "segment-00001.ndjson").unlink()
+    reopened = SegmentStore(d, segment_max_bytes=300)
+    kept = [t for t in range(9) if reopened.has("a", t)]
+    for t in range(20, 26):
+        reopened.append(Record("a", "tb1", t, "minimal14", {"m": float(t)}))
+    assert [values["m"] for _, values in reopened.query("a", 20, 25)] == [float(t) for t in range(20, 26)]
+    reopened.close()
+    again = SegmentStore(d)
+    assert again.record_count == len(kept) + 6
+    for t in kept + list(range(20, 26)):
+        assert again.query("a", t, t) == [(t, {"m": float(t)})]
+    again.close()
+
+
+def test_export_manifest_counts_rows_and_bytes_discarded_on_reopen(tmp_path):
+    d = tmp_path / "store"
+    store = SegmentStore(d, segment_max_bytes=300)
+    for t in range(8):
+        store.append(Record("x", "tb1", t, "minimal14", {"m": float(t)}))
+    store.close()
+    first, second = sorted(d.glob("segment-*.ndjson"))[:2]
+    lines = first.read_bytes().splitlines(keepends=True)
+    lines[2] = b'{"corrupt": tru\n'
+    first.write_bytes(b"".join(lines))
+    torn = b'{"transfer_id": "x", "testbed_id": "tb1", "t": 9, "pro'
+    second.write_bytes(second.read_bytes() + torn)
+    discarded = sum(len(line) for line in lines[2:]) + len(torn)
+
+    out = tmp_path / "export.ndjson"
+    assert main(["export", "--data-dir", str(d), "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "export.ndjson.manifest.json").read_text())
+    assert (manifest["rows"], manifest["discarded_bytes"]) == (8 - (len(lines) - 2), discarded)
+    assert manifest["rows"] == len(out.read_bytes().splitlines())
+    reopened = SegmentStore(d)
+    assert reopened.discarded_bytes == 0  # the first reopen truncated it all
+    reopened.close()
 
 
 def test_restart_dedup_survives(tmp_path):
