@@ -1,13 +1,13 @@
 """Ingest service: receives framed envelopes, persists them, serves queries.
 
-Each agent connection persists what it decodes on its own thread, one
-batch at a time under the collector's lock; queries run against the store's
-in-memory index plus flushed segments. A slow store holds up the reads of
-the connections that feed it, and TCP carries that pressure back to each
-agent's bounded drop-oldest publisher, so the collector's memory stays
-bounded and every loss is counted where it happens.
+One thread selects over both listeners and every agent connection. It
+persists what a connection's chunk decodes, under the collector's lock,
+before it reads on, so a slow store holds up the reads and TCP carries that
+pressure back to each agent's bounded drop-oldest publisher: the collector's
+memory stays bounded and every loss is counted where it happens.
 
-A second listener speaks a line-oriented query protocol:
+A second listener speaks a line-oriented query protocol, one thread per
+connection, against the store's in-memory index plus flushed segments:
 
     QUERY <transfer_id> <t0> <t1> [key ...]   -> NDJSON rows, then "END <n>"
     STATS                                     -> one JSON line
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import selectors
 import socket
 import threading
 import time
@@ -35,6 +36,11 @@ from .framing import FrameDecoder, FrameError
 from .storage import Record, SegmentStore
 
 RECV_CHUNK = 256 * 1024
+# How often the loop looks at the stop flag while no socket is ready.
+SELECT_WAKE_S = 0.2
+# The longest QUERY or STATS line a query connection buffers; a longer one
+# is answered with one ERR line and the connection is closed.
+QUERY_LINE_MAX = 64 * 1024
 # On stop, open ingest connections read on until EOF or until this long after
 # stop() began; frames still unread then are counted in stop_drop_total.
 STOP_DRAIN_S = 1.0
@@ -63,8 +69,9 @@ class IngestStats:
 class CollectorService:
     """TCP ingest + query front over a SegmentStore.
 
-    A connection reads its next chunk only once the store holds the last
-    one, so the collector pushes back on its agents instead of queueing.
+    One loop thread reads every ingest connection, one chunk at a time and
+    only once the store holds the last, so the collector pushes back on its
+    agents instead of queueing. Each query connection has its own thread.
     """
 
     def __init__(self, config: CollectorConfig | None = None):
@@ -75,16 +82,15 @@ class CollectorService:
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._drain_until = 0.0  # set by stop(): when open connections are cut
-        # Counters and the open ingest connections' threads; all guarded by
-        # _lock.
+        # Counters, all guarded by _lock.
         self._persisted_total = 0
         self._reject_total = 0
         self._stop_drop_total = 0
+        self._connections = 0  # open ingest connections
         # (monotonic time, records persisted) per ingest batch of the last
         # second; older entries are popped on each append.
         self._rate_window: deque[tuple[float, int]] = deque()
-        self._conn_threads: set[threading.Thread] = set()
-        self._threads: list[threading.Thread] = []
+        self._loop_thread = threading.Thread(target=self._loop, name="collector", daemon=True)
         self._ingest_sock: socket.socket | None = None
         self._query_sock: socket.socket | None = None
         self.ingest_address: tuple[str, int] | None = None
@@ -100,13 +106,7 @@ class CollectorService:
         self.ingest_address = self._ingest_sock.getsockname()
         self._query_sock = self._listen(cfg.host, cfg.query_port)
         self.query_address = self._query_sock.getsockname()
-        for target, name in (
-            (self._accept_loop_ingest, "collector-ingest"),
-            (self._accept_loop_query, "collector-query"),
-        ):
-            th = threading.Thread(target=target, name=name, daemon=True)
-            th.start()
-            self._threads.append(th)
+        self._loop_thread.start()
 
     @staticmethod
     def _listen(host: str, port: int) -> socket.socket:
@@ -114,78 +114,85 @@ class CollectorService:
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         sock.bind((host, port))
         sock.listen(64)
-        sock.settimeout(0.2)
+        sock.setblocking(False)
         return sock
 
     def stop(self) -> None:
         self._drain_until = time.monotonic() + STOP_DRAIN_S
         self._stop.set()
-        for th in self._threads:
-            th.join(timeout=3.0)
-        for sock in (self._ingest_sock, self._query_sock):
-            if sock is not None:
-                sock.close()
-        # No connection is accepted any more; the open ones persist what they
-        # read until EOF or STOP_DRAIN_S.
-        with self._lock:
-            conn_threads = list(self._conn_threads)
-        for th in conn_threads:
-            th.join()
+        if self._loop_thread.is_alive():
+            self._loop_thread.join()
         self.store.flush(sync=True)
         self.store.close()
 
     # ------------------------------------------------------------------
     # ingest path
     # ------------------------------------------------------------------
-    def _accept_loop_ingest(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._ingest_sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            th = threading.Thread(target=self._ingest_conn, args=(conn,), daemon=True)
-            with self._lock:
-                self._conn_threads.add(th)
-            th.start()
+    def _loop(self) -> None:
+        listeners = (self._ingest_sock, self._query_sock)
+        with selectors.DefaultSelector() as sel:
+            for sock in listeners:
+                sel.register(sock, selectors.EVENT_READ)
+            while not self._stop.is_set():
+                self._serve(sel, SELECT_WAKE_S)
+            # Accept no more; read the open connections until EOF or the
+            # deadline stop() set, and count what is left unread then.
+            for sock in listeners:
+                sel.unregister(sock)
+                sock.close()
+            while sel.get_map() and (left := self._drain_until - time.monotonic()) > 0:
+                self._serve(sel, min(left, SELECT_WAKE_S))
+            for key in list(sel.get_map().values()):
+                self._drop_unread(key.fileobj, key.data)
+                self._close(sel, key.fileobj)
 
-    def _ingest_conn(self, conn: socket.socket) -> None:
-        decoder = FrameDecoder()
-        conn.settimeout(0.5)
-        try:
-            while True:
-                if self._stop.is_set():
-                    left = self._drain_until - time.monotonic()
-                    if left <= 0:
-                        self._drop_unread(conn, decoder)
-                        return
-                    conn.settimeout(left)
+    def _serve(self, sel: selectors.BaseSelector, timeout: float) -> None:
+        """Accept or read whatever is ready within ``timeout``."""
+        for key, _ in sel.select(timeout):
+            sock = key.fileobj
+            if sock is self._ingest_sock or sock is self._query_sock:
                 try:
-                    chunk = conn.recv(RECV_CHUNK)
-                except socket.timeout:
-                    continue
+                    conn, _ = sock.accept()
                 except OSError:
-                    return
-                if not chunk:
-                    # A frame cut short by the close is lost: count it.
-                    if decoder.pending_bytes:
-                        self._count_reject()
-                    return
-                try:
-                    payloads = decoder.feed(chunk)
-                except FrameError as err:
-                    # Oversized frame: keep the frames before it, count the
-                    # bad one and reset the connection.
-                    self._ingest_payloads(err.frames)
+                    continue  # the peer gave up before it was accepted
+                if sock is self._query_sock:
+                    threading.Thread(target=self._query_conn, args=(conn,), daemon=True).start()
+                    continue
+                sel.register(conn, selectors.EVENT_READ, FrameDecoder())
+                with self._lock:
+                    self._connections += 1
+            elif not self._ingest_conn(sock, key.data):
+                self._close(sel, sock)
+
+    def _ingest_conn(self, conn: socket.socket, decoder: FrameDecoder) -> bool:
+        """Read and persist one chunk; False once the connection is done. An
+        OSError, from the socket or the store, ends this connection only."""
+        try:
+            chunk = conn.recv(RECV_CHUNK)
+            if not chunk:
+                # A frame cut short by the close is lost: count it.
+                if decoder.pending_bytes:
                     self._count_reject()
-                    return
-                if payloads:
-                    self._ingest_payloads(payloads)
-        finally:
-            conn.close()
-            with self._lock:
-                self._conn_threads.discard(threading.current_thread())
+                return False
+            try:
+                payloads = decoder.feed(chunk)
+            except FrameError as err:
+                # Oversized frame: keep the frames before it, count the bad
+                # one and reset the connection.
+                self._ingest_payloads(err.frames)
+                self._count_reject()
+                return False
+            if payloads:
+                self._ingest_payloads(payloads)
+            return True
+        except OSError:
+            return False
+
+    def _close(self, sel: selectors.BaseSelector, conn: socket.socket) -> None:
+        sel.unregister(conn)
+        conn.close()
+        with self._lock:
+            self._connections -= 1
 
     def _drop_unread(self, conn: socket.socket, decoder: FrameDecoder) -> None:
         """Count what a connection cut at the stop deadline leaves behind:
@@ -263,43 +270,33 @@ class CollectorService:
                 persisted_total=self._persisted_total,
                 reject_total=self._reject_total,
                 stop_drop_total=self._stop_drop_total,
-                connections=len(self._conn_threads),
+                connections=self._connections,
             )
 
     # ------------------------------------------------------------------
     # query path
     # ------------------------------------------------------------------
-    def _accept_loop_query(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._query_sock.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            th = threading.Thread(target=self._query_conn, args=(conn,), daemon=True)
-            th.start()
-
     def _query_conn(self, conn: socket.socket) -> None:
         conn.settimeout(5.0)
         try:
             buf = b""
             while not self._stop.is_set():
-                try:
-                    chunk = conn.recv(4096)
-                except socket.timeout:
-                    return
-                except OSError:
-                    return
+                chunk = conn.recv(4096)
                 if not chunk:
                     return
-                buf += chunk
-                while b"\n" in buf:
-                    line, buf = buf.split(b"\n", 1)
+                *lines, buf = (buf + chunk).split(b"\n")
+                if len(buf) > QUERY_LINE_MAX:
+                    lines.append(buf)  # answered below as too long
+                for line in lines:
+                    if len(line) > QUERY_LINE_MAX:
+                        conn.sendall(f"ERR line over {QUERY_LINE_MAX} bytes\n".encode())
+                        return
                     reply = self._handle_query_line(line.decode("utf-8", "replace").strip())
                     if reply is None:
                         return
                     conn.sendall(reply)
+        except OSError:
+            pass  # the client went away or stayed silent for 5 s
         finally:
             conn.close()
 

@@ -76,17 +76,18 @@ class SegmentStore:
         for seg_idx, path in enumerate(self._segments):
             offset = 0
             with path.open("rb") as fh:
-                # Trust lines up to the first that is torn or is not a record:
-                # an object with the five Record fields and a t int() takes.
+                # Trust lines up to the first that is torn or is not a record: an
+                # object of the five fields, str transfer_id, int() t, dict metrics.
                 for raw in fh:
                     if not raw.endswith(b"\n"):
                         break
                     try:
                         obj = orjson.loads(raw)
                         transfer_id, t = obj["transfer_id"], int(obj["t"])
+                        is_record = isinstance(transfer_id, str) and isinstance(obj["metrics"], dict)
                     except (ValueError, KeyError, TypeError):
                         break
-                    if not ("testbed_id" in obj and "profile" in obj and "metrics" in obj):
+                    if not (is_record and "testbed_id" in obj and "profile" in obj):
                         break
                     self._put(transfer_id, t, seg_idx, offset, len(raw))
                     offset += len(raw)

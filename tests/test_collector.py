@@ -1,5 +1,6 @@
 """Collector: framing, ingest semantics, queries, persistence safety."""
 import dataclasses
+import errno
 import hashlib
 import json
 import os
@@ -246,6 +247,46 @@ def test_oversize_frame_resets_connection(collector):
     assert wait_for(lambda: collector.stats().persisted_total == 1)
 
 
+def test_one_thread_reads_every_ingest_connection(collector):
+    threads_before = threading.active_count()
+    socks = [socket.create_connection(collector.ingest_address) for _ in range(20)]
+    try:
+        for i, sock in enumerate(socks):
+            sock.sendall(encode_frame(encode_envelope(make_envelope(transfer_id=f"c{i}", t=0))))
+        assert wait_for(lambda: collector.stats().persisted_total == 20)
+        assert collector.stats().connections == 20
+        assert threading.active_count() <= threads_before
+    finally:
+        for sock in socks:
+            sock.close()
+    assert wait_for(lambda: collector.stats().connections == 0)
+
+
+def test_a_store_error_ends_only_its_own_connection(collector, monkeypatch):
+    append_many = collector.store.append_many
+    failed = []
+
+    def fail_once(records):
+        if not failed:
+            failed.append(records)
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        append_many(records)
+
+    monkeypatch.setattr(collector.store, "append_many", fail_once)
+    with socket.create_connection(collector.ingest_address) as sock:
+        sock.sendall(encode_frame(encode_envelope(make_envelope(transfer_id="full", t=0))))
+        sock.settimeout(3.0)
+        assert sock.recv(1) == b""  # the collector closed this connection
+    send_frames(
+        collector.ingest_address,
+        encode_frame(encode_envelope(make_envelope(transfer_id="after", t=0))),
+    )
+    assert wait_for(lambda: collector.stats().persisted_total == 1)
+    assert wait_for(lambda: collector.stats().connections == 0)
+    assert len(failed) == 1
+    assert collector.store.has("after", 0) and not collector.store.has("full", 0)
+
+
 def test_crippled_store_loses_nothing(collector):
     collector.writer_delay_s = 0.05  # cripple the store: every batch waits
     envs = [make_envelope(transfer_id="burst", t=t) for t in range(3000)]
@@ -455,6 +496,16 @@ def test_query_wire_protocol(collector):
     assert stats["persisted_total"] == 1
 
 
+def test_query_line_over_the_cap_is_refused(collector):
+    with socket.create_connection(collector.query_address) as sock:
+        sock.settimeout(10.0)
+        sock.sendall(b"Q" * (70 * 1024))  # no newline
+        reply = b""
+        while not reply.endswith(b"\n") and (chunk := sock.recv(4096)):
+            reply += chunk
+    assert reply.startswith(b"ERR ") and reply.count(b"\n") == 1
+
+
 def test_query_span_is_capped(collector, monkeypatch):
     monkeypatch.setattr("xfermon.collector.storage.MAX_QUERY_SPAN_S", 10)
     env = make_envelope(transfer_id="span", t=0)
@@ -640,12 +691,14 @@ def _without(key: str) -> bytes:
     + [
         _good_line(3).replace(b'"t":3', b'"t":"soon"'),
         _good_line(3).replace(b'"t":3', b'"t":null'),
+        _good_line(3).replace(b'"transfer_id":"g"', b'"transfer_id":["x"]'),
+        _good_line(3).replace(b'"metrics":{"m":3.0}', b'"metrics":7'),
         b"[1, 2]\n",
         b'"g"\n',
         b"7\n",
     ],
     ids=[f"no-{k}" for k in ("transfer_id", "testbed_id", "t", "profile", "metrics")]
-    + ["t-string", "t-null", "array", "string", "number"],
+    + ["t-string", "t-null", "transfer_id-array", "metrics-number", "array", "string", "number"],
 )
 def test_reopen_trusts_only_lines_that_are_records(tmp_path, bad_line):
     d = tmp_path / "store"
