@@ -467,6 +467,8 @@ def cmd_score(args) -> int:
                 continue
             try:
                 obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise DataError(f"{pred_path}:{line_no}: bad prediction record: not an object")
                 tid = obj["transfer_id"]
                 label = obj["label"]
             except (KeyError, json.JSONDecodeError) as exc:
@@ -513,7 +515,9 @@ def cmd_export(args) -> int:
         if not mpath.exists():
             raise DataError(f"manifest not found: {mpath}")
         manifest = json.loads(mpath.read_text(encoding="utf-8"))
-        labels = manifest.get("labels", {})
+        labels = manifest.get("labels", {}) if isinstance(manifest, dict) else None
+        if not isinstance(labels, dict):
+            raise DataError(f"{mpath}: not an object with an object of labels")
 
     store = SegmentStore(data_dir)
     out = Path(args.out)

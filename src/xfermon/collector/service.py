@@ -4,10 +4,12 @@ One thread selects over both listeners and every agent connection. It
 persists what a connection's chunk decodes, under the collector's lock,
 before it reads on, so a slow store holds up the reads and TCP carries that
 pressure back to each agent's bounded drop-oldest publisher: the collector's
-memory stays bounded and every loss is counted where it happens.
+memory stays bounded and every loss is counted where it happens. A store
+write that fails is cut back off the segment, stores none of its batch and
+ends only its own connection, so a resend of that batch is stored.
 
 A second listener speaks a line-oriented query protocol, one thread per
-connection, against the store's in-memory index plus flushed segments:
+connection, against the store's in-memory index and its segment files:
 
     QUERY <transfer_id> <t0> <t1> [key ...]   -> NDJSON rows, then "END <n>"
     STATS                                     -> one JSON line
@@ -122,7 +124,7 @@ class CollectorService:
         self._stop.set()
         if self._loop_thread.is_alive():
             self._loop_thread.join()
-        self.store.flush(sync=True)
+        self.store.flush()
         self.store.close()
 
     # ------------------------------------------------------------------
@@ -251,15 +253,15 @@ class CollectorService:
                     continue
                 seen.add(key)
                 fresh.append(record)
+            # Counted before the append, which may raise and end the connection.
+            self._reject_total += rejects
             if fresh:
                 self.store.append_many(fresh)
-                self.store.flush()
                 self._persisted_total += len(fresh)
                 now = time.monotonic()
                 self._rate_window.append((now, len(fresh)))
                 while now - self._rate_window[0][0] > 1.0:
                     self._rate_window.popleft()
-            self._reject_total += rejects
 
     # ------------------------------------------------------------------
     def stats(self) -> IngestStats:

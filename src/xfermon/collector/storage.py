@@ -1,9 +1,16 @@
 """Append-only NDJSON persistence with an in-memory index.
 
-Records are one JSON object per line in numbered segment files. A crash can
-leave at most one torn final line; opening a store parses each line once to
-index it, and truncates a segment at its first torn or corrupt line so the
-on-disk bytes are always a valid NDJSON prefix of what was ingested.
+Records are one JSON object per line in numbered segment files. The open
+segment is one file descriptor with no buffer above it: each batch is one
+``pwrite`` at the segment's known end, and its lines are indexed only after
+the write lands in full. A write that fails or falls short is cut back off
+the file and re-raised, so the index never names a byte that is not there,
+and a reader sees every indexed line at once. ``flush()`` means fsync.
+
+A crash can leave at most one torn final line; opening a store parses each
+line once to index it, and truncates a segment at its first torn or corrupt
+line so the on-disk bytes are always a valid NDJSON prefix of what was
+ingested.
 """
 from __future__ import annotations
 
@@ -60,8 +67,9 @@ class SegmentStore:
         self._index: dict[str, dict[int, tuple[int, int, int]]] = {}
         self._count = 0  # distinct (transfer_id, t) keys in the index
         self._segments: list[Path] = []
-        self._read_fds: dict[int, int] = {}  # segment index -> read-only fd
-        self._open_fh = None
+        # segment index -> fd; the open segment's is the read-write one
+        self._read_fds: dict[int, int] = {}
+        self._open_fd: int | None = None
         self._open_size = 0
         self.discarded_bytes = 0  # bytes that opening truncated away
         self._recover()
@@ -100,19 +108,18 @@ class SegmentStore:
     def _open_segment(self) -> None:
         if not self._segments:
             self._segments.append(self._segment_path(0))
-        path = self._segments[-1]
-        self._open_fh = path.open("ab")
-        self._open_size = path.stat().st_size if path.exists() else 0
+        self._open_fd = os.open(self._segments[-1], os.O_RDWR | os.O_CREAT, 0o666)
+        self._read_fds[len(self._segments) - 1] = self._open_fd
+        self._open_size = os.fstat(self._open_fd).st_size
 
     def _rotate_if_needed(self) -> None:
         if self._open_size < self.segment_max_bytes:
             return
-        self._open_fh.close()
         # One past the highest number, so a missing segment is never reused.
+        # The full segment's fd stays in _read_fds to serve its reads.
         last = int(self._segments[-1].name[len(SEGMENT_PREFIX) : -len(SEGMENT_SUFFIX)])
         self._segments.append(self._segment_path(last + 1))
-        self._open_fh = self._segments[-1].open("ab")
-        self._open_size = 0
+        self._open_segment()
 
     def _put(self, transfer_id: str, t: int, seg_idx: int, offset: int, length: int) -> None:
         """Index one stored line; the caller holds the lock or owns the store."""
@@ -126,36 +133,40 @@ class SegmentStore:
         self.append_many([record])
 
     def append_many(self, records: list[Record]) -> None:
+        """Store a batch with one write, or raise OSError having stored and
+        indexed none of it."""
         # Format outside the lock so readers and dedup lookups are not held
         # up by serialization.
         lines = [record.to_json() for record in records]
+        data = b"".join(lines)
         with self._lock:
             self._rotate_if_needed()
-            seg_idx = len(self._segments) - 1
             offset = self._open_size
+            try:
+                written = os.pwrite(self._open_fd, data, offset)
+                if written != len(data):
+                    raise OSError(f"short segment write: {written} of {len(data)} bytes")
+            except OSError:
+                os.ftruncate(self._open_fd, offset)
+                raise
+            seg_idx = len(self._segments) - 1
             for record, line in zip(records, lines):
                 self._put(record.transfer_id, record.t, seg_idx, offset, len(line))
                 offset += len(line)
-            self._open_fh.write(b"".join(lines))
             self._open_size = offset
 
-    def flush(self, sync: bool = False) -> None:
-        """Flush buffered lines to the OS; ``sync`` additionally fsyncs."""
+    def flush(self) -> None:
+        """Fsync the open segment."""
         with self._lock:
-            if self._open_fh:
-                self._open_fh.flush()
-                if sync:
-                    os.fsync(self._open_fh.fileno())
+            if self._open_fd is not None:
+                os.fsync(self._open_fd)
 
     def close(self) -> None:
         with self._lock:
-            if self._open_fh:
-                self._open_fh.flush()
-                self._open_fh.close()
-                self._open_fh = None
             for fd in self._read_fds.values():
                 os.close(fd)
             self._read_fds.clear()
+            self._open_fd = None
 
     # ------------------------------------------------------------------
     @property
@@ -201,7 +212,6 @@ class SegmentStore:
             if transfer_id not in self._index:
                 raise KeyError(f"unknown transfer {transfer_id!r}")
             locations = dict(self._index[transfer_id])
-        self.flush()
         gap_names = keys
         if gap_names is None:
             # Unfiltered queries shape gap rows after the transfer's catalog.
@@ -221,15 +231,8 @@ class SegmentStore:
 
     def iter_lines(self) -> Iterator[dict]:
         """Every indexed line, parsed one at a time, in (transfer_id, t) order."""
-        self.flush()
         for tid in self.transfer_ids():
             with self._lock:
                 locations = sorted(self._index.get(tid, {}).items())
             for _, loc in locations:
                 yield self._read_at(*loc)
-
-    def iter_records(self) -> Iterator[Record]:
-        """All records in (transfer_id, t) order."""
-        for line in self.iter_lines():
-            yield Record(line["transfer_id"], line["testbed_id"], int(line["t"]),
-                         line["profile"], line["metrics"])

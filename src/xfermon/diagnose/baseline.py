@@ -58,6 +58,8 @@ class BaselineProfile:
     @classmethod
     def from_json(cls, text: str) -> "BaselineProfile":
         obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError(f"baseline is a JSON {type(obj).__name__}, not an object")
         return cls(
             testbed_id=obj["testbed_id"],
             means={k: float(v) for k, v in obj["means"].items()},

@@ -6,7 +6,7 @@ from dataclasses import asdict
 import pytest
 
 from xfermon.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
-from xfermon.collector import SegmentStore
+from xfermon.collector import Record, SegmentStore
 from xfermon.diagnose import RuleConfig
 from xfermon.sim import load_ndjson
 
@@ -170,6 +170,31 @@ def test_data_errors_exit_2(tmp_path):
     bad = tmp_path / "bad.ndjson"
     bad.write_text("not json\n")
     assert run_cli("diagnose", "--dataset", str(bad), "--out", "d.ndjson") == EXIT_DATA
+
+
+@pytest.mark.parametrize("command, content", [
+    ("export", "[1, 2]"),
+    ("export", '{"labels": ["x"]}'),
+    ("score", "[1]\n"),
+    ("diagnose", "[1]"),
+])
+def test_malformed_json_inputs_are_data_errors(tmp_path, small_dataset, monkeypatch, capsys,
+                                               command, content):
+    data_dir = tmp_path / "store"
+    store = SegmentStore(data_dir)
+    store.append(Record("x", "tb1", 0, "minimal14", {"m": 1.0}))
+    store.close()
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    argv = {
+        "export": ["export", "--data-dir", str(data_dir), "--manifest", str(bad)],
+        "score": ["score", "--pred", str(bad), "--truth", str(small_dataset)],
+        "diagnose": ["diagnose", "--dataset", str(small_dataset), "--baseline", str(bad)],
+    }[command]
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv, "--out", "o") == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and err.count("\n") == 1
 
 
 def test_unreachable_collector_exits_3(tmp_path, monkeypatch):

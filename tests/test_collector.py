@@ -51,6 +51,24 @@ def wait_for(predicate, timeout_s=5.0):
     return False
 
 
+def fail_next_segment_write(monkeypatch, short: bool = False) -> None:
+    """The next os.pwrite lands three quarters of its bytes, then raises
+    ENOSPC, or with ``short`` returns that short count; later ones succeed."""
+    pwrite = os.pwrite
+    failed = []
+
+    def faulty(fd, data, offset):
+        if failed:
+            return pwrite(fd, data, offset)
+        failed.append(offset)
+        landed = pwrite(fd, data[: len(data) * 3 // 4], offset)
+        if short:
+            return landed
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "pwrite", faulty)
+
+
 def query_lines(address, command: str) -> list[str]:
     with socket.create_connection(address) as sock:
         sock.sendall(command.encode() + b"\n")
@@ -285,6 +303,37 @@ def test_a_store_error_ends_only_its_own_connection(collector, monkeypatch):
     assert wait_for(lambda: collector.stats().connections == 0)
     assert len(failed) == 1
     assert collector.store.has("after", 0) and not collector.store.has("full", 0)
+
+
+def test_a_resend_after_a_failed_store_write_is_stored(collector, monkeypatch):
+    env = make_envelope(transfer_id="resent", t=3)
+    frame = encode_frame(encode_envelope(env))
+    fail_next_segment_write(monkeypatch)
+    with socket.create_connection(collector.ingest_address) as sock:
+        sock.sendall(frame)
+        sock.settimeout(3.0)
+        assert sock.recv(1) == b""  # the failed write ended this connection
+    assert not collector.store.has("resent", 3)
+    send_frames(collector.ingest_address, frame)  # the agent's resend
+    assert wait_for(lambda: collector.stats().persisted_total == 1)
+    assert collector.stats().reject_total == 0
+    assert collector.query("resent", 3, 3) == [(3, env.values)]
+
+
+def test_a_batch_whose_store_write_fails_still_counts_its_rejects(tmp_path, monkeypatch):
+    service = CollectorService(CollectorConfig(data_dir=tmp_path / "data"))
+
+    def full(records):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(service.store, "append_many", full)
+    try:
+        with pytest.raises(OSError):
+            service._ingest_payloads([b"not an envelope", encode_envelope(make_envelope())])
+        stats = service.stats()
+        assert (stats.reject_total, stats.persisted_total) == (1, 0)
+    finally:
+        service.stop()
 
 
 def test_crippled_store_loses_nothing(collector):
@@ -594,6 +643,32 @@ def test_recovery_truncates_torn_tail(tmp_path):
     reopened.close()
 
 
+@pytest.mark.parametrize("short", [False, True], ids=["enospc", "short-count"])
+def test_a_failed_segment_write_stores_and_indexes_none_of_its_batch(tmp_path, monkeypatch, short):
+    d = tmp_path / "store"
+    store = SegmentStore(d)
+    record = {t: Record("a", "tb1", t, "minimal14", {"m": float(t)}) for t in range(4)}
+    store.append(record[0])
+    fail_next_segment_write(monkeypatch, short)
+    with pytest.raises(OSError):
+        store.append_many([record[1], record[3]])
+    seg = next(d.glob("segment-*.ndjson"))
+    assert seg.stat().st_size == len(record[0].to_json())  # the landed part is cut back
+    store.append(record[2])
+    assert not store.has("a", 1) and not store.has("a", 3)
+    assert store.query("a", 0, 2) == [(0, {"m": 0.0}), (1, {"m": None}), (2, {"m": 2.0})]
+    store.append(record[1])  # the resend
+    assert store.query("a", 0, 2) == [(t, {"m": float(t)}) for t in range(3)]
+    assert seg.stat().st_size == sum(len(record[t].to_json()) for t in range(3))
+    rows = store.query("a", 0, 3)
+    store.close()
+    reopened = SegmentStore(d)
+    assert reopened.discarded_bytes == 0
+    assert reopened.record_count == store.record_count == 3
+    assert reopened.query("a", 0, 3) == rows
+    reopened.close()
+
+
 def test_numpy_scalars_are_refused_not_coerced():
     np = pytest.importorskip("numpy")
     with pytest.raises(TypeError):
@@ -622,11 +697,12 @@ def test_segments_rotate_and_every_record_reads_back(tmp_path):
     assert len(list(d.glob("segment-*.ndjson"))) >= 3
     rows = store.query("seg", 0, 99)
     assert [values["m"] for _, values in rows] == [float(t) for t in range(100)]
-    assert list(store.iter_records()) == records
+    lines = [dataclasses.asdict(record) for record in records]
+    assert list(store.iter_lines()) == lines
     store.close()
     reopened = SegmentStore(d, segment_max_bytes=2048)
     assert reopened.record_count == 100
-    assert list(reopened.iter_records()) == records
+    assert list(reopened.iter_lines()) == lines
     reopened.close()
 
 
